@@ -51,6 +51,7 @@ _CONFIG_KEYS = {
     "ratings": "ratings_path",
     "trust_file": "trust_path",
 }
+_KEY_OF_FIELD = {fieldname: key for key, fieldname in _CONFIG_KEYS.items()}
 
 
 def _normalise_attack(value: str) -> str:
@@ -136,7 +137,11 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
         config = ScenarioConfig(**merged)
     except TypeError as exc:
         raise ConfigError("config", str(exc)) from exc
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        # name the key as the user wrote it, not the field it sets
+        raise ConfigError(_KEY_OF_FIELD.get(exc.key, exc.key), exc.message) from None
     return config
 
 

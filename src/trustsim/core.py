@@ -24,6 +24,14 @@ class Probability(float):
         return super().__new__(cls, v)
 
 
+def as_probability(value: float) -> Probability:
+    """``value`` itself when it is already a :class:`Probability`, else a
+    validated one; values that were checked once are not checked again."""
+    if isinstance(value, Probability):
+        return value
+    return Probability(value)
+
+
 class Verdict(Enum):
     """Binary recommendation outcome.
 
@@ -99,5 +107,5 @@ class Recommendation:
         if self.advisor == self.subject:
             raise ValueError("an agent cannot recommend itself")
         object.__setattr__(
-            self, "credibility_at_issue", Probability(self.credibility_at_issue)
+            self, "credibility_at_issue", as_probability(self.credibility_at_issue)
         )

@@ -21,15 +21,37 @@ class DuplicateRecommendation(ValueError):
     """The same advisor appeared twice in one aggregation round."""
 
 
+def _settled_score(score: float, said_trust: bool, trust: float, distrust: float) -> float:
+    """The convergence/divergence rule on plain floats.
+
+    The increment on agreement is the larger of the two directional beliefs;
+    the divergence branch takes the absolute difference with the smaller one,
+    which keeps the result in [0, 1] but can raise a very low score when the
+    losing belief exceeds twice of it. That quirk is kept as designed rather
+    than floored away. An exact tie leaves the score as it is.
+    """
+    if trust == distrust:
+        return score
+    if said_trust == (trust > distrust):
+        return min(1.0, score + max(trust, distrust))
+    return abs(score - min(trust, distrust))
+
+
 class CredibilityLedger:
-    """Single-writer map from advisor identity to credibility score."""
+    """Single-writer map from advisor identity to credibility score.
+
+    Scores are keyed by ``AgentId.value``; the identities themselves are kept
+    beside them only to hand back from :meth:`known_agents` and
+    :meth:`as_map`.
+    """
 
     def __init__(self, initial_score: float = 0.5) -> None:
         self.initial_score = Probability(initial_score)
-        self._scores: dict[AgentId, Probability] = {}
+        self._scores: dict[int, Probability] = {}
+        self._agents: dict[int, AgentId] = {}
 
     def __contains__(self, agent: AgentId) -> bool:
-        return agent in self._scores
+        return agent.value in self._scores
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -40,40 +62,36 @@ class CredibilityLedger:
         Lookups never mutate the ledger, so asking about a newcomer leaves no
         trace.
         """
-        return self._scores.get(agent, self.initial_score)
+        return self._scores.get(agent.value, self.initial_score)
 
     def set(self, agent: AgentId, score: float) -> None:
-        self._scores[agent] = Probability(score)
+        self._store(agent, Probability(score))
+
+    def _store(self, agent: AgentId, score: Probability) -> None:
+        self._agents.setdefault(agent.value, agent)
+        self._scores[agent.value] = score
 
     def drop(self, agent: AgentId) -> None:
-        self._scores.pop(agent, None)
+        self._scores.pop(agent.value, None)
+        self._agents.pop(agent.value, None)
 
     def known_agents(self) -> list[AgentId]:
-        return list(self._scores)
+        return list(self._agents.values())
 
     def as_map(self) -> dict[AgentId, Probability]:
-        return dict(self._scores)
+        return {self._agents[value]: score for value, score in self._scores.items()}
 
     def update(self, advisor: AgentId, given: Verdict, beliefs: BeliefTriple) -> Probability:
-        """Apply one convergence/divergence update and return the new score.
-
-        The increment on agreement is the larger of the two directional
-        beliefs; the divergence branch takes the absolute difference with the
-        smaller one, which keeps the result in [0, 1] but can raise a very low
-        score when the losing belief exceeds twice of it. That quirk is kept
-        as designed rather than floored away.
-        """
-        score = float(self.get(advisor))
-        trust, distrust = beliefs.trust, beliefs.distrust
-        said_trust = given is Verdict.TRUSTWORTHY
-        if (said_trust and trust > distrust) or (not said_trust and trust < distrust):
-            new = min(1.0, score + max(trust, distrust))
-        elif (said_trust and trust < distrust) or (not said_trust and trust > distrust):
-            new = abs(score - min(trust, distrust))
-        else:
-            new = score
-        result = Probability(new)
-        self._scores[advisor] = result
+        """Apply one convergence/divergence update and return the new score."""
+        result = Probability(
+            _settled_score(
+                float(self.get(advisor)),
+                given is Verdict.TRUSTWORTHY,
+                float(beliefs.trust),
+                float(beliefs.distrust),
+            )
+        )
+        self._store(advisor, result)
         return result
 
     def batch_update(self, recommendations: Iterable, beliefs: BeliefTriple) -> None:
@@ -81,27 +99,30 @@ class CredibilityLedger:
 
         Advisors absent from ``recommendations`` are untouched. A duplicated
         advisor aborts the whole batch before any score changes: one opinion
-        per identity per request.
+        per identity per request. Each advisor gets what :meth:`update` would
+        give it.
         """
         recs = list(recommendations)
-        seen: set[AgentId] = set()
-        subjects = {rec.subject for rec in recs}
-        if len(subjects) > 1:
+        if len({rec.subject.value for rec in recs}) > 1:
             raise ValueError("one batch must target a single subject")
+        seen: set[int] = set()
         for rec in recs:
-            if rec.advisor in seen:
+            if rec.advisor.value in seen:
                 raise DuplicateRecommendation(
                     f"advisor {rec.advisor.value} answered twice in one round"
                 )
-            seen.add(rec.advisor)
+            seen.add(rec.advisor.value)
+        trust, distrust = float(beliefs.trust), float(beliefs.distrust)
         for rec in recs:
-            self.update(rec.advisor, rec.verdict, beliefs)
+            score = float(self.get(rec.advisor))
+            settled = _settled_score(score, rec.verdict is Verdict.TRUSTWORTHY, trust, distrust)
+            self._store(rec.advisor, Probability(settled))
 
     def save(self, path: str | Path) -> None:
         """Write a flat two-column snapshot (agent id, score)."""
         lines = ["agent_id\tscore"]
-        for agent in sorted(self._scores, key=lambda a: a.value):
-            lines.append(f"{agent.value}\t{self._scores[agent]!r}")
+        for value in sorted(self._scores):
+            lines.append(f"{value}\t{self._scores[value]!r}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -114,17 +135,3 @@ class CredibilityLedger:
             raw_id, raw_score = line.split("\t")
             ledger.set(AgentId(int(raw_id)), float(raw_score))
         return ledger
-
-
-def update_credibility(
-    ledger: CredibilityLedger, advisor: AgentId, given: Verdict, beliefs: BeliefTriple
-) -> Probability:
-    """Function-style alias for :meth:`CredibilityLedger.update`."""
-    return ledger.update(advisor, given, beliefs)
-
-
-def batch_update(
-    ledger: CredibilityLedger, recommendations: Iterable, beliefs: BeliefTriple
-) -> None:
-    """Function-style alias for :meth:`CredibilityLedger.batch_update`."""
-    ledger.batch_update(recommendations, beliefs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Probability, Verdict
+from .core import Probability, Verdict, as_probability
 
 # Tolerance for the "components sum to one" invariant.
 SUM_TOLERANCE = 1e-9
@@ -45,6 +45,24 @@ def _check_distribution(trust: float, distrust: float, uncertainty: float) -> No
         raise ValueError(f"components must sum to 1, got {total!r}")
 
 
+def _check_triple(trust: float, distrust: float, uncertainty: float) -> None:
+    """The checks a :class:`BeliefTriple` of these floats would make, on the
+    floats themselves: every component in [0, 1], components summing to 1."""
+    if not (0.0 <= trust <= 1.0 and 0.0 <= distrust <= 1.0 and 0.0 <= uncertainty <= 1.0):
+        raise ValueError(
+            f"probability must lie in [0, 1], got {(trust, distrust, uncertainty)!r}"
+        )
+    _check_distribution(trust, distrust, uncertainty)
+
+
+def _validate_components(triple: "MassFunction | BeliefTriple") -> None:
+    """Wrap each component that is not a :class:`Probability` yet, then check
+    the sum; components that already are one are kept as they are."""
+    for name in ("trust", "distrust", "uncertainty"):
+        object.__setattr__(triple, name, as_probability(getattr(triple, name)))
+    _check_distribution(triple.trust, triple.distrust, triple.uncertainty)
+
+
 @dataclass(frozen=True)
 class MassFunction:
     """Basic probability assignment of one piece of evidence.
@@ -58,13 +76,12 @@ class MassFunction:
     uncertainty: Probability
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trust", Probability(self.trust))
-        object.__setattr__(self, "distrust", Probability(self.distrust))
-        object.__setattr__(self, "uncertainty", Probability(self.uncertainty))
-        _check_distribution(self.trust, self.distrust, self.uncertainty)
+        _validate_components(self)
 
 
-VACUOUS = MassFunction(Probability(0.0), Probability(0.0), Probability(1.0))
+_ZERO = Probability(0.0)
+
+VACUOUS = MassFunction(_ZERO, _ZERO, Probability(1.0))
 
 
 @dataclass(frozen=True)
@@ -76,10 +93,7 @@ class BeliefTriple:
     uncertainty: Probability
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trust", Probability(self.trust))
-        object.__setattr__(self, "distrust", Probability(self.distrust))
-        object.__setattr__(self, "uncertainty", Probability(self.uncertainty))
-        _check_distribution(self.trust, self.distrust, self.uncertainty)
+        _validate_components(self)
 
     def as_mass(self) -> MassFunction:
         """Reinterpret as a mass function (both are distributions over the
@@ -93,37 +107,43 @@ def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFuncti
     The advisor's credibility goes on the reported hypothesis and the rest on
     uncertainty, after clamping credibility to :data:`CREDIBILITY_CAP`.
     """
-    lam = min(float(Probability(credibility)), CREDIBILITY_CAP)
+    lam = min(float(as_probability(credibility)), CREDIBILITY_CAP)
+    backed, rest = Probability(lam), Probability(1.0 - lam)
     if verdict is Verdict.TRUSTWORTHY:
-        return MassFunction(Probability(lam), Probability(0.0), Probability(1.0 - lam))
-    return MassFunction(Probability(0.0), Probability(lam), Probability(1.0 - lam))
+        return MassFunction(backed, _ZERO, rest)
+    return MassFunction(_ZERO, backed, rest)
 
 
-def combine(a: MassFunction, b: MassFunction) -> BeliefTriple:
-    """Fuse two mass functions with Dempster's rule.
+def _dempster(
+    at: float, ad: float, au: float, bt: float, bd: float, bu: float
+) -> tuple[float, float, float]:
+    """Dempster's rule on two (trust, distrust, uncertainty) float triples.
 
     Mass assigned to contradictory hypothesis pairs (one source says
     trustworthy, the other untrustworthy) is the conflict; the surviving mass
     is renormalised by one minus the conflict. Raises :class:`TotalConflict`
-    when essentially everything conflicts.
-
-    The arithmetic is grouped so that ``combine(a, b)`` and ``combine(b, a)``
-    are bitwise identical.
+    when essentially everything conflicts, and ``ValueError`` when the result
+    is not a distribution. The arithmetic is grouped so that swapping the two
+    triples gives a bitwise identical result.
     """
-    conflict = a.trust * b.distrust + a.distrust * b.trust
+    conflict = at * bd + ad * bt
     normaliser = 1.0 - conflict
     if normaliser <= MIN_NORMALISER:
         raise TotalConflict(f"conflict {conflict!r} leaves no usable evidence")
-    trust = (a.trust * b.trust + (a.trust * b.uncertainty + a.uncertainty * b.trust)) / normaliser
-    distrust = (
-        a.distrust * b.distrust
-        + (a.distrust * b.uncertainty + a.uncertainty * b.distrust)
-    ) / normaliser
-    uncertainty = (a.uncertainty * b.uncertainty) / normaliser
+    trust = min(1.0, (at * bt + (at * bu + au * bt)) / normaliser)
+    distrust = min(1.0, (ad * bd + (ad * bu + au * bd)) / normaliser)
+    uncertainty = min(1.0, (au * bu) / normaliser)
+    _check_triple(trust, distrust, uncertainty)
+    return trust, distrust, uncertainty
+
+
+def combine(a: MassFunction, b: MassFunction) -> BeliefTriple:
+    """Fuse two mass functions with Dempster's rule (see :func:`_dempster`).
+
+    ``combine(a, b)`` and ``combine(b, a)`` are bitwise identical.
+    """
     return BeliefTriple(
-        Probability(min(1.0, trust)),
-        Probability(min(1.0, distrust)),
-        Probability(min(1.0, uncertainty)),
+        *_dempster(a.trust, a.distrust, a.uncertainty, b.trust, b.distrust, b.uncertainty)
     )
 
 
@@ -133,34 +153,30 @@ def combine_all(masses: Iterable[MassFunction]) -> BeliefTriple:
     Dempster's rule is associative and commutative on this frame, so the fold
     order does not change the result (beyond float noise); a singleton input
     is returned unchanged in triple form.
+
+    The fold runs on plain floats and builds one :class:`BeliefTriple` at the
+    end. Before each step the accumulator is rescaled to sum to 1 within an
+    ulp: intermediate results drift from 1 by rounding noise, heavy conflict
+    amplifies that drift through the small normaliser, and it compounds
+    across steps if left in place. Every step makes the checks that building
+    the intermediate mass and triple objects would make, so the result is
+    bit for bit that of ``combine`` applied pairwise to rescaled triples.
     """
     iterator = iter(masses)
     try:
         first = next(iterator)
     except StopIteration:
         raise EmptyEvidence("cannot combine an empty collection of masses") from None
-    acc = BeliefTriple(first.trust, first.distrust, first.uncertainty)
+    trust, distrust, uncertainty = first.trust, first.distrust, first.uncertainty
     for mass in iterator:
-        acc = combine(_renormalised(acc.as_mass()), mass)
-    return acc
-
-
-def _renormalised(mass: MassFunction) -> MassFunction:
-    """Rescale components to sum to 1 within an ulp.
-
-    Intermediate fold results drift from 1 by rounding noise; under heavy
-    conflict that drift is amplified by the small normaliser, and compounds
-    across steps if left in place. Rescaling each step keeps the fold stable
-    without touching the exactness of the binary rule.
-    """
-    total = mass.trust + mass.distrust + mass.uncertainty
-    if total == 1.0:
-        return mass
-    return MassFunction(
-        Probability(mass.trust / total),
-        Probability(mass.distrust / total),
-        Probability(mass.uncertainty / total),
-    )
+        total = trust + distrust + uncertainty
+        if total != 1.0:
+            trust, distrust, uncertainty = trust / total, distrust / total, uncertainty / total
+            _check_triple(trust, distrust, uncertainty)
+        trust, distrust, uncertainty = _dempster(
+            trust, distrust, uncertainty, mass.trust, mass.distrust, mass.uncertainty
+        )
+    return BeliefTriple(trust, distrust, uncertainty)
 
 
 def decide(beliefs: BeliefTriple) -> Verdict:

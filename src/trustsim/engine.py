@@ -47,9 +47,10 @@ class RecommendationRequest:
     eligible: tuple[AgentId, ...]
 
     def __post_init__(self) -> None:
-        if self.subject in self.eligible:
+        eligible = {advisor.value for advisor in self.eligible}
+        if self.subject.value in eligible:
             raise ValueError("the subject cannot advise on itself")
-        if self.requester in self.eligible:
+        if self.requester.value in eligible:
             raise ValueError("the requester cannot advise itself")
 
 
@@ -91,15 +92,19 @@ def run_round(
     abstainers: list[AgentId] = []
     not_polled: list[AgentId] = []
     for advisor in request.eligible:
-        if advisor not in population:
-            raise ValueError(f"eligible advisor {advisor.value} is not in the population")
+        try:
+            respond = population[advisor]
+        except KeyError:
+            raise ValueError(
+                f"eligible advisor {advisor.value} is not in the population"
+            ) from None
         if inquiries is not None:
             try:
                 inquiries.consume(request.requester, advisor)
             except BudgetExhausted:
                 not_polled.append(advisor)
                 continue
-        answer = population[advisor](request.subject, request.subject_features)
+        answer = respond(request.subject, request.subject_features)
         if answer is None:
             abstainers.append(advisor)
             continue
@@ -107,7 +112,6 @@ def run_round(
             Recommendation(advisor, request.subject, answer, credibility.get(advisor))
         )
 
-    before = {rec.advisor: float(rec.credibility_at_issue) for rec in responders}
     if responders:
         masses = [
             mass_from_recommendation(rec.verdict, rec.credibility_at_issue)
@@ -135,17 +139,19 @@ def run_round(
         beliefs, verdict, trust, tuple(responders), tuple(abstainers), tuple(not_polled)
     )
     if trace is not None:
-        trace(_trace_record(request, outcome, before, credibility))
+        trace(_trace_record(request, outcome, credibility))
     return outcome
 
 
 def _trace_record(
     request: RecommendationRequest,
     outcome: RoundOutcome,
-    before: dict[AgentId, float],
     credibility: CredibilityLedger,
 ) -> dict:
-    """One structured record per round, for line-delimited logging."""
+    """One structured record per round, for line-delimited logging.
+
+    A responder's credibility before the round is the one it was weighted by.
+    """
     return {
         "requester": request.requester.value,
         "subject": request.subject.value,
@@ -166,7 +172,10 @@ def _trace_record(
         },
         "verdict": outcome.verdict.value,
         "estimated_trust": float(outcome.estimated_trust),
-        "credibility_before": {str(a.value): v for a, v in before.items()},
+        "credibility_before": {
+            str(rec.advisor.value): float(rec.credibility_at_issue)
+            for rec in outcome.responders
+        },
         "credibility_after": {
             str(rec.advisor.value): float(credibility.get(rec.advisor))
             for rec in outcome.responders

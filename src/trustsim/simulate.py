@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -57,6 +58,25 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str) -> None:
         super().__init__(f"{key}: {message}")
         self.key = key
+        self.message = message
+
+
+# Integer fields of ScenarioConfig that must be at least 1.
+_COUNT_FIELDS = (
+    "n_advisors",
+    "sybil_count",
+    "switch_iteration",
+    "reset_period",
+    "n_items",
+    "n_iterations",
+    "k_folds",
+    "period_length",
+    "max_depth",
+    "min_leaf",
+    "records_per_advisor",
+    "n_features",
+)
+_FLOAT_FIELDS = ("attacker_fraction", "participation_threshold", "initial_credibility", "noise")
 
 
 @dataclass
@@ -90,28 +110,34 @@ class ScenarioConfig:
     def validate(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed", "an integer seed is required")
+        integers = _COUNT_FIELDS
+        if self.initial_budget is not None:
+            integers += ("initial_budget",)
+        for key in integers:
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(key, f"must be an integer, got {value!r}")
+        for key in _FLOAT_FIELDS:
+            value = getattr(self, key)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(key, f"must be a number, got {value!r}")
+        for key in ("ratings_path", "trust_path"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ConfigError(key, f"must be a file path, got {value!r}")
         if self.attack_kind not in ATTACK_KINDS:
             raise ConfigError(
                 "attack", f"must be one of {'|'.join(ATTACK_KINDS)}, got {self.attack_kind!r}"
             )
         if not 0.0 <= self.attacker_fraction <= 1.0:
             raise ConfigError("attacker_fraction", "must lie in [0, 1]")
-        for key in (
-            "n_advisors",
-            "sybil_count",
-            "switch_iteration",
-            "reset_period",
-            "n_items",
-            "n_iterations",
-            "k_folds",
-            "period_length",
-            "max_depth",
-            "min_leaf",
-            "records_per_advisor",
-            "n_features",
-        ):
+        for key in _COUNT_FIELDS:
             if getattr(self, key) < 1:
                 raise ConfigError(key, "must be at least 1")
+        if self.records_per_advisor < 2:
+            raise ConfigError(
+                "records_per_advisor", "must be at least 2 (cross-validation needs two)"
+            )
         if not 0.0 <= self.participation_threshold <= 1.0:
             raise ConfigError("participation_threshold", "must lie in [0, 1]")
         if not 0.0 <= self.initial_credibility <= 1.0:

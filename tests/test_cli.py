@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trustsim.cli import main
 
 FAST = [
@@ -82,6 +84,45 @@ def test_invalid_value_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "attacker_fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("advisors", 2.5),
+        ("items", "3"),
+        ("iterations", True),
+        ("initial_budget", 1.0),
+        ("attacker_fraction", "0.3"),
+        ("noise", False),
+        ("ratings", 5),
+    ],
+)
+def test_mistyped_config_value_exits_2_and_names_it(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, key: value}))
+    out = tmp_path / "x"
+    code = run_cli("simulate", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: must be")
+    assert not out.exists()
+
+
+def test_integral_float_fields_accept_json_integers(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "attacker_fraction": 0, "noise": 0}))
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out), *FAST) == 0
+
+
+def test_single_record_per_advisor_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli(
+        "simulate", "--seed", "1", "--records-per-advisor", "1", "--out", str(out)
+    )
+    assert code == 2
+    assert "records_per_advisor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_overrides_config_file(tmp_path):

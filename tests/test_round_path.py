@@ -1,0 +1,237 @@
+"""The float round path against the object code it replaced, bit for bit.
+
+``reference_combine_all`` is the fold as it was written on objects: the
+accumulator becomes a mass function, is rescaled to sum to one, and is
+combined with the next mass into a new validated ``BeliefTriple``.
+``combine_all`` now runs the same arithmetic on plain floats; every result
+must carry the same bits. The saturated cases pile 200+ capped voters on both
+sides, where the fold is most sensitive to the order of operations.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trustsim.core import AgentId, Probability, Recommendation, Verdict
+from trustsim.credibility import CredibilityLedger
+from trustsim.dst import (
+    CREDIBILITY_CAP,
+    MIN_NORMALISER,
+    BeliefTriple,
+    MassFunction,
+    TotalConflict,
+    combine,
+    combine_all,
+    decide,
+    mass_from_recommendation,
+)
+
+T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
+
+
+# ---------------------------------------------------------------------------
+# reference: the object fold, one validated object per intermediate value
+# ---------------------------------------------------------------------------
+
+
+def reference_combine(a, b):
+    conflict = a.trust * b.distrust + a.distrust * b.trust
+    normaliser = 1.0 - conflict
+    if normaliser <= MIN_NORMALISER:
+        raise TotalConflict(f"conflict {conflict!r} leaves no usable evidence")
+    trust = (a.trust * b.trust + (a.trust * b.uncertainty + a.uncertainty * b.trust)) / normaliser
+    distrust = (
+        a.distrust * b.distrust
+        + (a.distrust * b.uncertainty + a.uncertainty * b.distrust)
+    ) / normaliser
+    uncertainty = (a.uncertainty * b.uncertainty) / normaliser
+    return BeliefTriple(
+        Probability(min(1.0, trust)),
+        Probability(min(1.0, distrust)),
+        Probability(min(1.0, uncertainty)),
+    )
+
+
+def reference_renormalised(mass):
+    total = mass.trust + mass.distrust + mass.uncertainty
+    if total == 1.0:
+        return mass
+    return MassFunction(
+        Probability(mass.trust / total),
+        Probability(mass.distrust / total),
+        Probability(mass.uncertainty / total),
+    )
+
+
+def reference_combine_all(masses):
+    first, *rest = masses
+    acc = BeliefTriple(first.trust, first.distrust, first.uncertainty)
+    for mass in rest:
+        acc = reference_combine(reference_renormalised(acc.as_mass()), mass)
+    return acc
+
+
+def bits(fold, masses):
+    """The exact bits of a fold's result, or the name of what it raised."""
+    try:
+        beliefs = fold(masses)
+    except (TotalConflict, ValueError) as exc:
+        return type(exc).__name__
+    return tuple(float(x).hex() for x in (beliefs.trust, beliefs.distrust, beliefs.uncertainty))
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def free_masses(draw):
+    trust = draw(unit)
+    distrust = (1.0 - trust) * draw(unit)
+    return MassFunction(trust, distrust, max(0.0, 1.0 - trust - distrust))
+
+
+votes = st.builds(mass_from_recommendation, st.sampled_from([T, N]), unit)
+capped = st.builds(mass_from_recommendation, st.sampled_from([T, N]), st.just(1.0))
+
+
+# ---------------------------------------------------------------------------
+# combine_all on floats == the object fold, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(free_masses(), votes, capped), min_size=1, max_size=40))
+def test_float_fold_is_bit_identical_to_object_fold(masses):
+    assert bits(combine_all, masses) == bits(reference_combine_all, masses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=200, max_value=260),
+    st.integers(min_value=200, max_value=260),
+    st.booleans(),
+    st.lists(votes, max_size=5),
+)
+def test_saturated_fold_is_bit_identical(n_trust, n_distrust, trust_first, extra):
+    yes = [mass_from_recommendation(T, 1.0)] * n_trust
+    no = [mass_from_recommendation(N, 1.0)] * n_distrust
+    masses = (yes + no if trust_first else no + yes) + extra
+    assert bits(combine_all, masses) == bits(reference_combine_all, masses)
+
+
+@pytest.mark.parametrize("order", ["trust-first", "distrust-first", "alternating"])
+def test_saturated_fold_with_250_each_side(order):
+    yes, no = mass_from_recommendation(T, 1.0), mass_from_recommendation(N, 1.0)
+    masses = {
+        "trust-first": [yes] * 250 + [no] * 250,
+        "distrust-first": [no] * 250 + [yes] * 250,
+        "alternating": [yes, no] * 250,
+    }[order]
+    assert bits(combine_all, masses) == bits(reference_combine_all, masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(free_masses(), votes, capped), st.one_of(free_masses(), votes, capped))
+def test_combine_is_the_reference_rule(a, b):
+    assert bits(lambda pair: combine(*pair), (a, b)) == bits(
+        lambda pair: reference_combine(*pair), (a, b)
+    )
+
+
+def test_total_conflict_still_raised_by_the_float_fold():
+    with pytest.raises(TotalConflict):
+        combine_all([MassFunction(1.0, 0.0, 0.0), MassFunction(0.0, 1.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# batch_update == one update per advisor, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([T, N]), st.one_of(st.none(), unit), unit),
+        max_size=30,
+    ),
+    free_masses(),
+    unit,
+)
+def test_batch_update_equals_sequential_updates(advisors, beliefs_mass, initial):
+    # the credibility a recommendation was issued at need not be the ledger's
+    # score any more; both updates read the ledger
+    beliefs = BeliefTriple(beliefs_mass.trust, beliefs_mass.distrust, beliefs_mass.uncertainty)
+    batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
+    recs = []
+    for value, (verdict, score, issued_at) in enumerate(advisors):
+        agent = AgentId(value)
+        if score is not None:
+            batch.set(agent, score)
+            sequential.set(agent, score)
+        recs.append(Recommendation(agent, AgentId(10_000), verdict, issued_at))
+    batch.batch_update(recs, beliefs)
+    for rec in recs:
+        sequential.update(rec.advisor, rec.verdict, beliefs)
+    assert batch.known_agents() == sequential.known_agents()
+    assert [float(s).hex() for s in batch.as_map().values()] == [
+        float(s).hex() for s in sequential.as_map().values()
+    ]
+
+
+# ---------------------------------------------------------------------------
+# saturated fold against exact arithmetic: a known fault, pinned
+# ---------------------------------------------------------------------------
+
+
+def fraction_dempster(masses):
+    """Dempster's rule in exact rationals: fold the unnormalised products and
+    normalise once at the end, which equals normalising at every step."""
+    first, *rest = masses
+    t, d, u = (Fraction(first.trust), Fraction(first.distrust), Fraction(first.uncertainty))
+    for m in rest:
+        mt, md, mu = Fraction(m.trust), Fraction(m.distrust), Fraction(m.uncertainty)
+        t, d, u = t * mt + t * mu + u * mt, d * md + d * mu + u * md, u * mu
+    total = t + d + u
+    return t / total, d / total, u / total
+
+
+def _verdict(trust, distrust):
+    return T if trust > distrust else N
+
+
+SIXTY_T_SEVENTY_N = [mass_from_recommendation(T, 1.0)] * 60 + [
+    mass_from_recommendation(N, 1.0)
+] * 70
+
+
+def test_fraction_oracle_matches_fold_when_unsaturated():
+    masses = [mass_from_recommendation(T, 0.7)] * 6 + [mass_from_recommendation(N, 0.6)] * 7
+    exact = fraction_dempster(masses)
+    got = combine_all(masses)
+    assert float(exact[0]) == pytest.approx(got.trust, abs=1e-9)
+    assert float(exact[1]) == pytest.approx(got.distrust, abs=1e-9)
+
+
+def test_fraction_oracle_decides_the_larger_capped_side():
+    # with every voter at the cap the larger side carries the evidence:
+    # distrust over trust is (1 - cap)^-10 to within a factor of two
+    trust, distrust, _ = fraction_dempster(SIXTY_T_SEVENTY_N)
+    assert _verdict(trust, distrust) is N
+    assert distrust / trust > Fraction(1, 2) * (1 / (1 - Fraction(CREDIBILITY_CAP))) ** 10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float fold absorbs once 54 capped voters pile up on one side: "
+    "their uncertainty underflows to 0.0 and the later, larger distrust side "
+    "cannot move the belief",
+)
+def test_saturated_fold_decides_like_exact_dempster():
+    trust, distrust, _ = fraction_dempster(SIXTY_T_SEVENTY_N)
+    assert decide(combine_all(SIXTY_T_SEVENTY_N)) is _verdict(trust, distrust)
