@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AgentId, Probability, Recommendation, Verdict
-from .tree import DecisionTree, EmptyDataset, fit, predict
+from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,15 @@ def self_assess(
         raise ValueError("fold count must be positive")
     effective_k = min(k, n)
     values, labels = dataset.to_arrays()
-    fold_accuracies: list[float] = []
-    for fold in cv_folds(n, effective_k, seed):
+    folds = cv_folds(n, effective_k, seed)
+    training_sets = []
+    for fold in folds:
         held = np.zeros(n, dtype=bool)
         held[fold] = True
-        model = fit(values[~held], labels[~held], max_depth=max_depth, min_leaf=min_leaf)
+        training_sets.append(np.flatnonzero(~held))
+    models = fit_many(values, labels, training_sets, max_depth=max_depth, min_leaf=min_leaf)
+    fold_accuracies: list[float] = []
+    for fold, model in zip(folds, models):
         hits = 0
         for index in fold:
             wanted = Verdict.TRUSTWORTHY if labels[index] else Verdict.UNTRUSTWORTHY

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -145,18 +147,40 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
+def _outermost_missing(path: Path) -> Path | None:
+    """The outermost directory that creating ``path`` would create, if any."""
+    missing = None
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            break
+        missing = candidate
+    return missing
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     out_dir = args.out or Path(f"run_{config.attack_kind}_{config.seed}")
+    created = _outermost_missing(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = out_dir / "trace.jsonl"
-    with open(trace_path, "w") as handle:
+    # The trace is written beside its final name and renamed once the run has
+    # succeeded; a failed run removes what it created and leaves no partial
+    # trace behind.
+    partial = out_dir / "trace.jsonl.partial"
+    try:
+        with open(partial, "w") as handle:
 
-        def trace(record: dict) -> None:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            def trace(record: dict) -> None:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
-        result = run_scenario(config, trace=trace)
-    write_outputs(result, out_dir)
+            result = run_scenario(config, trace=trace)
+        write_outputs(result, out_dir)
+        os.replace(partial, out_dir / "trace.jsonl")
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        else:
+            partial.unlink(missing_ok=True)
+        raise
     print(f"wrote scenario outputs to {out_dir}")
     return EXIT_OK
 

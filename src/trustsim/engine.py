@@ -20,6 +20,7 @@ from .core import AgentId, Probability, Recommendation, Verdict
 from .credibility import CredibilityLedger
 from .dst import (
     BeliefTriple,
+    MassFunction,
     TotalConflict,
     combine_all,
     decide,
@@ -113,10 +114,16 @@ def run_round(
         )
 
     if responders:
-        masses = [
-            mass_from_recommendation(rec.verdict, rec.credibility_at_issue)
-            for rec in responders
-        ]
+        # Responders share a handful of (verdict, credibility) pairs once
+        # credibility saturates, so each distinct mass is built once a round.
+        built: dict[tuple[Verdict, float], MassFunction] = {}
+        masses = []
+        for rec in responders:
+            key = (rec.verdict, rec.credibility_at_issue)
+            mass = built.get(key)
+            if mass is None:
+                mass = built[key] = mass_from_recommendation(*key)
+            masses.append(mass)
         try:
             beliefs = combine_all(masses)
         except TotalConflict as exc:

@@ -1,8 +1,9 @@
-"""Pure-Python best-split search for axis-aligned decision trees.
+"""Pure-Python parity oracle for the decision-tree grower.
 
-Reference implementation of the kernel; ``trustsim._splitc`` is the compiled
-twin. The two run the same arithmetic in the same order so they produce
-bit-identical splits, and either can back the tree builder.
+A scalar best-split scan and a recursive grower over it: the tree induction
+``trustsim.tree`` performed node by node before it grew whole levels at once.
+The tests check that ``trustsim.tree.fit_many`` grows the same trees, node
+for node, and that its entropies equal ``_entropy`` bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from math import log2
 
 import numpy as np
 
-BACKEND = "python"
+from trustsim.tree import DecisionTree, Split, _leaf
 
 
 def _entropy(c0: int, c1: int) -> float:
@@ -73,3 +74,26 @@ def best_split(values, labels, min_leaf: int):
                 best_feature = j
                 best_threshold = (value + nxt) / 2.0
     return best_feature, float(best_threshold), float(best_gain)
+
+
+def _grow(values, labels, depth: int, max_depth: int, min_leaf: int):
+    n = labels.shape[0]
+    count1 = int(labels.sum())
+    count0 = n - count1
+    if count0 == 0 or count1 == 0 or depth >= max_depth or n < 2 * min_leaf:
+        return _leaf(count0, count1)
+    feature, threshold, _gain = best_split(values, labels, min_leaf)
+    if feature < 0:
+        return _leaf(count0, count1)
+    mask = values[:, feature] <= threshold
+    left = _grow(np.ascontiguousarray(values[mask]), labels[mask], depth + 1, max_depth, min_leaf)
+    right = _grow(np.ascontiguousarray(values[~mask]), labels[~mask], depth + 1, max_depth, min_leaf)
+    return Split(int(feature), float(threshold), left, right)
+
+
+def fit(values, labels, max_depth: int = 8, min_leaf: int = 2) -> DecisionTree:
+    """The tree grown node by node on ``best_split``."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    root = _grow(values, labels, 0, max_depth, min_leaf)
+    return DecisionTree(root, int(values.shape[1]), max_depth, min_leaf)

@@ -177,6 +177,35 @@ def test_ingest_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+
+def test_failed_run_leaves_no_directory_behind(tmp_path, capsys):
+    out = tmp_path / "runs" / "d"
+    code = run_cli(
+        "simulate", "--seed", "1", "--ratings", str(tmp_path / "missing.txt"), "--out", str(out)
+    )
+    assert code == 1
+    assert "cannot read ratings file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_keeps_existing_directory_as_it_was(tmp_path):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "trace.jsonl").write_text("earlier run\n")
+    code = run_cli(
+        "simulate", "--seed", "1", "--ratings", str(tmp_path / "missing.txt"), "--out", str(out)
+    )
+    assert code == 1
+    assert [p.name for p in out.iterdir()] == ["trace.jsonl"]
+    assert (out / "trace.jsonl").read_text() == "earlier run\n"
+
+
+def test_successful_run_leaves_no_partial_trace(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--seed", "3", "--out", str(out), *FAST) == 0
+    assert (out / "trace.jsonl").stat().st_size > 0
+    assert not (out / "trace.jsonl.partial").exists()
+
 def _write_summary(path, attack):
     path.mkdir(parents=True)
     (path / "summary.json").write_text(

@@ -5,7 +5,10 @@ accumulator becomes a mass function, is rescaled to sum to one, and is
 combined with the next mass into a new validated ``BeliefTriple``.
 ``combine_all`` now runs the same arithmetic on plain floats; every result
 must carry the same bits. The saturated cases pile 200+ capped voters on both
-sides, where the fold is most sensitive to the order of operations.
+sides, where the fold is most sensitive to the order of operations. A round
+builds each distinct (verdict, credibility) mass once and fuses it once per
+responder; its beliefs must carry the bits of a fold over one fresh mass per
+responder.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from trustsim.core import AgentId, Probability, Recommendation, Verdict
 from trustsim.credibility import CredibilityLedger
+from trustsim.engine import RecommendationRequest, RoundFailure, run_round
 from trustsim.dst import (
     CREDIBILITY_CAP,
     MIN_NORMALISER,
@@ -123,6 +127,43 @@ def test_saturated_fold_is_bit_identical(n_trust, n_distrust, trust_first, extra
     no = [mass_from_recommendation(N, 1.0)] * n_distrust
     masses = (yes + no if trust_first else no + yes) + extra
     assert bits(combine_all, masses) == bits(reference_combine_all, masses)
+
+
+def reference_mass(verdict, credibility):
+    """A mass built afresh for one responder, as every round did before it
+    built each distinct (verdict, credibility) mass once."""
+    lam = min(float(Probability(credibility)), CREDIBILITY_CAP)
+    backed, rest = Probability(lam), Probability(1.0 - lam)
+    if verdict is T:
+        return MassFunction(backed, Probability(0.0), rest)
+    return MassFunction(Probability(0.0), backed, rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([T, N]), st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.9, 1.0])),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_round_with_shared_masses_is_bit_identical(votes):
+    ledger = CredibilityLedger()
+    population = {}
+    for index, (verdict, credibility) in enumerate(votes):
+        advisor = AgentId(index + 1)
+        ledger.set(advisor, credibility)
+        population[advisor] = lambda subject, features, verdict=verdict: verdict
+    request = RecommendationRequest(AgentId(100), AgentId(200), (0.5,), tuple(population))
+    fresh = [reference_mass(verdict, ledger.get(advisor)) for advisor, (verdict, _) in zip(population, votes)]
+    want = bits(reference_combine_all, fresh)
+    try:
+        outcome = run_round(request, population, ledger)
+    except RoundFailure:
+        assert want == "TotalConflict"
+        return
+    beliefs = outcome.beliefs
+    assert tuple(float(x).hex() for x in (beliefs.trust, beliefs.distrust, beliefs.uncertainty)) == want
 
 
 @pytest.mark.parametrize("order", ["trust-first", "distrust-first", "alternating"])
