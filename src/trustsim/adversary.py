@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .advisor import AdvisorState
 from .core import AgentId, IdentityIssuer, Verdict
-from .tree import predict
+from .tree import predict, recalled
 
 
 class AttackKind(Enum):
@@ -70,7 +70,7 @@ def dishonest_verdict(advisor: AdvisorState, subject_features: Sequence[float]) 
     """The inversion policy. Attackers skip the self-withdrawal step: staying
     in the round is the whole point of attacking, so the classifier is used
     even when the advisor's self-assessment said to abstain."""
-    return predict(advisor.tree, subject_features).inverted()
+    return recalled(advisor.tree, subject_features, predict).inverted()
 
 
 def camouflage_verdict(
@@ -137,7 +137,7 @@ def camouflage_responder(advisor: AdvisorState, switch_iteration: int, current_i
     Always answers: a camouflage attacker will not volunteer to sit out."""
 
     def respond(subject: AgentId, subject_features: Sequence[float]) -> Verdict | None:
-        honest = predict(advisor.tree, subject_features)
+        honest = recalled(advisor.tree, subject_features, predict)
         return camouflage_verdict(honest, current_iteration, switch_iteration)
 
     return respond

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import AgentId, Probability, Recommendation, Verdict
-from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict
+from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict, recalled
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,11 @@ def build_advisor(
 
 def advisor_verdict(advisor: AdvisorState, subject_features: Sequence[float]) -> Verdict | None:
     """Honest answer to a request: None when the advisor self-withdrew,
-    otherwise the tree's prediction for the subject."""
+    otherwise the tree's prediction for the subject (walked once per distinct
+    feature tuple, :func:`~trustsim.tree.recalled`)."""
     if not advisor.assessment.participate:
         return None
-    return predict(advisor.tree, subject_features)
+    return recalled(advisor.tree, subject_features, predict)
 
 
 def derive_recommendation(

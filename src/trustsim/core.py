@@ -90,7 +90,7 @@ class IdentityIssuer:
         return len(self._issued)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Recommendation:
     """One advisor's verdict on a subject.
 
@@ -103,9 +103,20 @@ class Recommendation:
     verdict: Verdict
     credibility_at_issue: Probability
 
-    def __post_init__(self) -> None:
-        if self.advisor == self.subject:
+    def __init__(
+        self,
+        advisor: AgentId,
+        subject: AgentId,
+        verdict: Verdict,
+        credibility_at_issue: float,
+    ) -> None:
+        if advisor.value == subject.value:
             raise ValueError("an agent cannot recommend itself")
-        object.__setattr__(
-            self, "credibility_at_issue", as_probability(self.credibility_at_issue)
+        # A round builds one per responder: a single write of the instance
+        # dict costs half of what the frozen init's four setattr calls do.
+        self.__dict__.update(
+            advisor=advisor,
+            subject=subject,
+            verdict=verdict,
+            credibility_at_issue=as_probability(credibility_at_issue),
         )

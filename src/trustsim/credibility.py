@@ -97,10 +97,17 @@ class CredibilityLedger:
     def batch_update(self, recommendations: Iterable, beliefs: BeliefTriple) -> None:
         """Update each responding advisor exactly once.
 
-        Advisors absent from ``recommendations`` are untouched. A duplicated
-        advisor aborts the whole batch before any score changes: one opinion
-        per identity per request. Each advisor gets what :meth:`update` would
-        give it.
+        Advisors absent from ``recommendations`` are untouched. Recommendations
+        about more than one subject, or a duplicated advisor, abort the whole
+        batch before any score changes: one opinion per identity per request.
+        Each advisor gets what :meth:`update` would give it.
+
+        The new score depends only on the old score and the verdict, and once
+        credibility saturates a round's responders share two to four such
+        pairs, so each distinct pair is settled once. Scores that compare
+        equal (-0.0 and 0.0 included) settle to the same bits unless the
+        beliefs tie exactly; a tie leaves every score as it is, bits and all,
+        so it settles nothing.
         """
         recs = list(recommendations)
         if len({rec.subject.value for rec in recs}) > 1:
@@ -113,10 +120,22 @@ class CredibilityLedger:
                 )
             seen.add(rec.advisor.value)
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
+        scores, agents, initial = self._scores, self._agents, self.initial_score
+        settled: dict[tuple[float, bool], Probability] = {}
         for rec in recs:
-            score = float(self.get(rec.advisor))
-            settled = _settled_score(score, rec.verdict is Verdict.TRUSTWORTHY, trust, distrust)
-            self._store(rec.advisor, Probability(settled))
+            value = rec.advisor.value
+            score = scores.get(value, initial)
+            if trust != distrust:
+                said_trust = rec.verdict is Verdict.TRUSTWORTHY
+                key = (score, said_trust)
+                new = settled.get(key)
+                if new is None:
+                    new = settled[key] = Probability(
+                        _settled_score(score, said_trust, trust, distrust)
+                    )
+                score = new
+            agents.setdefault(value, rec.advisor)
+            scores[value] = score
 
     def save(self, path: str | Path) -> None:
         """Write a flat two-column snapshot (agent id, score)."""

@@ -12,6 +12,7 @@ All functions here are pure and operate on immutable values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -114,37 +115,73 @@ def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFuncti
     return MassFunction(_ZERO, backed, rest)
 
 
-def _dempster(
-    at: float, ad: float, au: float, bt: float, bd: float, bu: float
+def _rescaled(
+    trust: float, distrust: float, uncertainty: float
 ) -> tuple[float, float, float]:
-    """Dempster's rule on two (trust, distrust, uncertainty) float triples.
-
-    Mass assigned to contradictory hypothesis pairs (one source says
-    trustworthy, the other untrustworthy) is the conflict; the surviving mass
-    is renormalised by one minus the conflict. Raises :class:`TotalConflict`
-    when essentially everything conflicts, and ``ValueError`` when the result
-    is not a distribution. The arithmetic is grouped so that swapping the two
-    triples gives a bitwise identical result.
-    """
-    conflict = at * bd + ad * bt
-    normaliser = 1.0 - conflict
-    if normaliser <= MIN_NORMALISER:
-        raise TotalConflict(f"conflict {conflict!r} leaves no usable evidence")
-    trust = min(1.0, (at * bt + (at * bu + au * bt)) / normaliser)
-    distrust = min(1.0, (ad * bd + (ad * bu + au * bd)) / normaliser)
-    uncertainty = min(1.0, (au * bu) / normaliser)
+    """The triple divided by its sum, checked as a :class:`MassFunction` of
+    these floats would be; a triple that sums to exactly 1 is returned as
+    it is."""
+    total = trust + distrust + uncertainty
+    if total == 1.0:
+        return trust, distrust, uncertainty
+    trust, distrust, uncertainty = trust / total, distrust / total, uncertainty / total
     _check_triple(trust, distrust, uncertainty)
     return trust, distrust, uncertainty
 
 
+def _fold(
+    trust: float, distrust: float, uncertainty: float, masses: Iterable[MassFunction]
+) -> tuple[float, float, float]:
+    """Dempster's rule applied to a (trust, distrust, uncertainty) triple and
+    each of ``masses`` in turn; the result of the last step is returned.
+
+    Mass assigned to contradictory hypothesis pairs (one source says
+    trustworthy, the other untrustworthy) is the conflict; the surviving mass
+    is renormalised by one minus the conflict. Every step raises
+    :class:`TotalConflict` when essentially everything conflicts, and
+    ``ValueError`` when its result is not a distribution. The arithmetic is
+    grouped so that swapping the two operands of a step gives a bitwise
+    identical result.
+
+    A step's result that does not sum to exactly 1 is rescaled for the next
+    step (:func:`_rescaled`; the last step's rescaled copy goes unused):
+    intermediate results drift from 1 by rounding noise, heavy conflict
+    amplifies that drift through the small normaliser, and it compounds
+    across steps if left in place. The rule is written out inline, so a step
+    makes no function call unless it drifted.
+    """
+    t, d, u = trust, distrust, uncertainty
+    for mass in masses:
+        bt, bd, bu = mass.trust, mass.distrust, mass.uncertainty
+        conflict = trust * bd + distrust * bt
+        normaliser = 1.0 - conflict
+        if normaliser <= MIN_NORMALISER:
+            raise TotalConflict(f"conflict {conflict!r} leaves no usable evidence")
+        t = (trust * bt + (trust * bu + uncertainty * bt)) / normaliser
+        d = (distrust * bd + (distrust * bu + uncertainty * bd)) / normaliser
+        u = (uncertainty * bu) / normaliser
+        # min(1.0, x), spelled out to save three builtin calls a step
+        t = t if t < 1.0 else 1.0
+        d = d if d < 1.0 else 1.0
+        u = u if u < 1.0 else 1.0
+        if not (0.0 <= t <= 1.0 and 0.0 <= d <= 1.0 and 0.0 <= u <= 1.0):
+            raise ValueError(f"probability must lie in [0, 1], got {(t, d, u)!r}")
+        total = t + d + u
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"components must sum to 1, got {total!r}")
+        if total == 1.0:
+            trust, distrust, uncertainty = t, d, u
+        else:
+            trust, distrust, uncertainty = _rescaled(t, d, u)
+    return t, d, u
+
+
 def combine(a: MassFunction, b: MassFunction) -> BeliefTriple:
-    """Fuse two mass functions with Dempster's rule (see :func:`_dempster`).
+    """Fuse two mass functions with Dempster's rule (one step of :func:`_fold`).
 
     ``combine(a, b)`` and ``combine(b, a)`` are bitwise identical.
     """
-    return BeliefTriple(
-        *_dempster(a.trust, a.distrust, a.uncertainty, b.trust, b.distrust, b.uncertainty)
-    )
+    return BeliefTriple(*_fold(a.trust, a.distrust, a.uncertainty, (b,)))
 
 
 def combine_all(masses: Iterable[MassFunction]) -> BeliefTriple:
@@ -154,29 +191,21 @@ def combine_all(masses: Iterable[MassFunction]) -> BeliefTriple:
     order does not change the result (beyond float noise); a singleton input
     is returned unchanged in triple form.
 
-    The fold runs on plain floats and builds one :class:`BeliefTriple` at the
-    end. Before each step the accumulator is rescaled to sum to 1 within an
-    ulp: intermediate results drift from 1 by rounding noise, heavy conflict
-    amplifies that drift through the small normaliser, and it compounds
-    across steps if left in place. Every step makes the checks that building
-    the intermediate mass and triple objects would make, so the result is
-    bit for bit that of ``combine`` applied pairwise to rescaled triples.
+    The fold runs on plain floats (:func:`_fold`) and builds one
+    :class:`BeliefTriple` at the end. The first mass is rescaled like every
+    later intermediate result before the first step, so the result is bit for
+    bit that of ``combine`` applied pairwise to rescaled triples.
     """
-    iterator = iter(masses)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        raise EmptyEvidence("cannot combine an empty collection of masses") from None
-    trust, distrust, uncertainty = first.trust, first.distrust, first.uncertainty
-    for mass in iterator:
-        total = trust + distrust + uncertainty
-        if total != 1.0:
-            trust, distrust, uncertainty = trust / total, distrust / total, uncertainty / total
-            _check_triple(trust, distrust, uncertainty)
-        trust, distrust, uncertainty = _dempster(
-            trust, distrust, uncertainty, mass.trust, mass.distrust, mass.uncertainty
-        )
-    return BeliefTriple(trust, distrust, uncertainty)
+    masses = list(masses)
+    if not masses:
+        raise EmptyEvidence("cannot combine an empty collection of masses")
+    first = masses[0]
+    if len(masses) == 1:
+        return BeliefTriple(first.trust, first.distrust, first.uncertainty)
+    trust, distrust, uncertainty = _rescaled(first.trust, first.distrust, first.uncertainty)
+    return BeliefTriple(
+        *_fold(trust, distrust, uncertainty, itertools.islice(masses, 1, None))
+    )
 
 
 def decide(beliefs: BeliefTriple) -> Verdict:

@@ -49,6 +49,8 @@ class RecommendationRequest:
 
     def __post_init__(self) -> None:
         eligible = {advisor.value for advisor in self.eligible}
+        if len(eligible) != len(self.eligible):
+            raise ValueError("an advisor is listed twice among the eligible")
         if self.subject.value in eligible:
             raise ValueError("the subject cannot advise on itself")
         if self.requester.value in eligible:
@@ -89,9 +91,14 @@ def run_round(
     """
     if not request.eligible:
         raise ValueError("cannot run a round with no eligible advisors")
+    requester, subject, features = request.requester, request.subject, request.subject_features
     responders: list[Recommendation] = []
+    masses: list[MassFunction] = []
     abstainers: list[AgentId] = []
     not_polled: list[AgentId] = []
+    # Responders share a handful of (verdict, credibility) pairs once
+    # credibility saturates, so each distinct mass is built once a round.
+    built: dict[tuple[bool, float], MassFunction] = {}
     for advisor in request.eligible:
         try:
             respond = population[advisor]
@@ -101,42 +108,36 @@ def run_round(
             ) from None
         if inquiries is not None:
             try:
-                inquiries.consume(request.requester, advisor)
+                inquiries.consume(requester, advisor)
             except BudgetExhausted:
                 not_polled.append(advisor)
                 continue
-        answer = respond(request.subject, request.subject_features)
+        answer = respond(subject, features)
         if answer is None:
             abstainers.append(advisor)
             continue
-        responders.append(
-            Recommendation(advisor, request.subject, answer, credibility.get(advisor))
-        )
+        score = credibility.get(advisor)
+        key = (answer is Verdict.TRUSTWORTHY, score)
+        mass = built.get(key)
+        if mass is None:
+            mass = built[key] = mass_from_recommendation(answer, score)
+        masses.append(mass)
+        responders.append(Recommendation(advisor, subject, answer, score))
 
     if responders:
-        # Responders share a handful of (verdict, credibility) pairs once
-        # credibility saturates, so each distinct mass is built once a round.
-        built: dict[tuple[Verdict, float], MassFunction] = {}
-        masses = []
-        for rec in responders:
-            key = (rec.verdict, rec.credibility_at_issue)
-            mass = built.get(key)
-            if mass is None:
-                mass = built[key] = mass_from_recommendation(*key)
-            masses.append(mass)
         try:
             beliefs = combine_all(masses)
         except TotalConflict as exc:
             raise RoundFailure(
                 f"total conflict aggregating {len(masses)} recommendations "
-                f"about subject {request.subject.value}"
+                f"about subject {subject.value}"
             ) from exc
         verdict = decide(beliefs)
         trust = estimated_trust(beliefs)
         credibility.batch_update(responders, beliefs)
         if inquiries is not None:
             for rec in responders:
-                inquiries.record_answer(rec.advisor, request.requester)
+                inquiries.record_answer(rec.advisor, requester)
     else:
         beliefs = ALL_ABSTAIN_BELIEFS
         verdict = Verdict.UNTRUSTWORTHY
@@ -157,7 +158,9 @@ def _trace_record(
 ) -> dict:
     """One structured record per round, for line-delimited logging.
 
-    A responder's credibility before the round is the one it was weighted by.
+    ``responders[].credibility`` is each responder's score before the round,
+    the one its verdict was weighted by; ``credibility_after`` holds the
+    settled scores.
     """
     return {
         "requester": request.requester.value,
@@ -179,10 +182,6 @@ def _trace_record(
         },
         "verdict": outcome.verdict.value,
         "estimated_trust": float(outcome.estimated_trust),
-        "credibility_before": {
-            str(rec.advisor.value): float(rec.credibility_at_issue)
-            for rec in outcome.responders
-        },
         "credibility_after": {
             str(rec.advisor.value): float(credibility.get(rec.advisor))
             for rec in outcome.responders

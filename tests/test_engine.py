@@ -27,6 +27,29 @@ def test_request_rejects_subject_or_requester_in_eligible():
         make_request([AgentId(100)])
 
 
+@pytest.mark.parametrize("answer", [T, None], ids=["responder", "abstainer"])
+def test_advisor_listed_twice_is_rejected_before_any_write(answer):
+    a, b = AgentId(1), AgentId(2)
+    ledger = CredibilityLedger()
+    ledger.set(a, 0.8)
+    inquiries = InquiryLedger(initial_budget=5)
+    asked = []
+
+    def respond(subject, features):
+        asked.append(subject)
+        return answer
+
+    with pytest.raises(ValueError, match="twice"):
+        run_round(
+            make_request([a, b, AgentId(1)]), {a: respond, b: const(T)}, ledger, inquiries
+        )
+    assert asked == []
+    assert inquiries.budget(AgentId(100), a) == 5
+    assert inquiries.budget(AgentId(100), b) == 5
+    assert inquiries.answered(a, AgentId(100)) == 0
+    assert ledger.as_map() == {a: 0.8}
+
+
 def test_three_advisor_round_matches_worked_numbers():
     a, b, c = AgentId(1), AgentId(2), AgentId(3)
     ledger = CredibilityLedger()
@@ -175,8 +198,11 @@ def test_trace_record_shape():
     assert record["abstainers"] == [2]
     assert record["verdict"] == "N"
     assert set(record["beliefs"]) == {"trust", "distrust", "uncertainty"}
-    assert record["credibility_before"] == {"1": 0.8}
-    assert "1" in record["credibility_after"]
+    # the responder entry carries the pre-round score; it is not repeated
+    assert "credibility_before" not in record
+    assert record["responders"][0]["credibility"] == 0.8
+    assert record["credibility_after"] == {"1": float(ledger.get(a))}
+    assert ledger.get(a) != 0.8
     # information hiding: nothing in a trace mentions attacker metadata
     assert "lineage" not in str(record)
 

@@ -1,4 +1,10 @@
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim.core import Verdict
 from trustsim.epinions import (
@@ -103,3 +109,93 @@ def test_trust_file_parsed_and_counted(tmp_path, toy_file):
     assert data.stats.trust_statements == 2
     assert ("u1", "u2", 1.0) in data.trust
     assert "trust statements" in data.stats.report()
+
+
+# ---------------------------------------------------------------------------
+# leave-user-out features against a brute-force oracle in exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def ratings_with_a_double(draw):
+    """(user, item, rating) rows over a few users and items, one (user, item)
+    pair rated twice, in any order."""
+    rating = st.integers(min_value=1, max_value=5)
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abcde"), st.sampled_from("wxyz"), rating),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    user, item, _ = draw(st.sampled_from(rows))
+    position = draw(st.integers(min_value=0, max_value=len(rows)))
+    rows.insert(position, (user, item, draw(rating)))
+    return rows
+
+
+def exact_moments(values):
+    """Mean and population variance as exact fractions."""
+    mean = Fraction(sum(values), len(values))
+    return mean, sum((Fraction(v) - mean) ** 2 for v in values) / len(values)
+
+
+def oracle_features(rows):
+    """Per user, in file order: the features and label of each rating, with
+    every rating of the same user on that item left out of the features."""
+    global_mean = Fraction(sum(r for _, _, r in rows), len(rows))
+    per_user = {}
+    for user, item, rating in rows:
+        others = [r for u, i, r in rows if i == item and u != user]
+        if others:
+            mean, variance = exact_moments(others)
+            features = (mean, len(others), variance)
+        else:
+            features = (global_mean, 0, 0)
+        label = Verdict.TRUSTWORTHY if rating >= 4 else Verdict.UNTRUSTWORTHY
+        per_user.setdefault(user, []).append((features, label))
+    return per_user
+
+
+def assert_features_match(got, want):
+    mean, count, variance = got
+    # integer ratings: the mean is one correctly rounded division
+    assert mean == float(want[0])
+    assert count == float(want[1])
+    assert variance == pytest.approx(float(want[2]), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratings_with_a_double())
+def test_features_leave_every_rating_of_the_user_out(rows):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "ratings.txt"
+        path.write_text("".join(f"{u},{i},{r}\n" for u, i, r in rows))
+        data = ingest_epinions(path)
+    want = oracle_features(rows)
+    assert set(data.datasets) == set(want)
+    for user, records in want.items():
+        got = data.datasets[user].records
+        assert len(got) == len(records)
+        for record, (features, label) in zip(got, records):
+            assert record.label is label
+            assert_features_match(record.features, features)
+    for item in {i for _, i, _ in rows}:
+        ratings = [r for _, i, r in rows if i == item]
+        mean, variance = exact_moments(ratings)
+        # item features count every rating, both of a double included
+        assert_features_match(data.item_features[item], (mean, len(ratings), variance))
+        assert data.item_truth[item] == sum(r >= 4 for r in ratings) / len(ratings)
+
+
+def test_a_double_rating_is_left_out_whole(tmp_path):
+    path = tmp_path / "ratings.txt"
+    path.write_text("a,x,5\nb,x,2\na,x,1\n")
+    data = ingest_epinions(path)
+    first, second = data.datasets["a"].records
+    # both of a's ratings of x see only b's 2
+    assert first.features == second.features == (2.0, 1.0, 0.0)
+    assert [first.label, second.label] == [Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY]
+    # b sees both of a's ratings
+    assert data.datasets["b"].records[0].features == (3.0, 2.0, 4.0)
+    assert data.item_features["x"] == (8 / 3, 3.0, pytest.approx(26 / 9))

@@ -1,0 +1,131 @@
+"""Golden outputs: small ``trustsim simulate`` runs, pinned by sha256.
+
+Each case runs the CLI into a fresh directory and hashes the files that are a
+pure function of the scenario: the summaries, the series, the per-item error
+matrix and the two ledger snapshots. ``config.json`` is left out because it
+echoes the ratings file's absolute path, and ``trace.jsonl`` because its
+schema is allowed to change; its content is covered by the engine tests.
+
+A change meant to keep every output bit must leave these digests as they are.
+A change that alters outputs on purpose re-records them and says why.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from trustsim.cli import main
+
+GOLDEN_FILES = (
+    "summary.txt",
+    "summary.json",
+    "series.csv",
+    "per_item_mae.csv",
+    "credibility.tsv",
+    "inquiries.tsv",
+)
+
+SMALL = ["--advisors", "8", "--items", "4", "--iterations", "5", "--records-per-advisor", "24"]
+
+CASES = {
+    "none": ["--attack", "none", "--seed", "5", *SMALL],
+    "sybil": ["--attack", "sybil", "--seed", "7", "--sybil-count", "3", *SMALL],
+    "camouflage": [
+        "--attack", "camouflage", "--seed", "11", "--switch-iteration", "3",
+        "--attacker-fraction", "0.5", *SMALL,
+    ],
+    "whitewashing": ["--attack", "whitewashing", "--seed", "7", "--reset-period", "2", *SMALL],
+    "sybil-starved": [
+        "--attack", "sybil", "--seed", "13", "--initial-budget", "2", "--period-length", "3",
+        *SMALL,
+    ],
+    "ratings-whitewashing": [
+        "--attack", "whitewashing", "--seed", "9", "--reset-period", "2", "--k-folds", "5",
+        "--advisors", "8", "--items", "5", "--iterations", "4",
+    ],
+}
+
+DIGESTS = {
+    "none": {
+        "summary.txt": "6b66749829c0153722f871a2641049c76412a1e132dfcb67491214a316624276",
+        "summary.json": "6a2ec732d1bc6d7da53c873f4adf7ab7bab81398eaca973db6914486d0f9f223",
+        "series.csv": "f29ddfc4f289ee305ede652201141e63a2eb9ee73eacb6300306bfc3e5de9b57",
+        "per_item_mae.csv": "459dc9c50b56b69270445c238678460a5da1b676f6914aba19861b8caca1ba3e",
+        "credibility.tsv": "b1c2b11927f461741439b3b41bb951191b399a6dbef75cfd3e133f461a07d5de",
+        "inquiries.tsv": "385c407b67cc360cce2933467d23c39acdc215286eac00e1ceee962e05d589c9",
+    },
+    "sybil": {
+        "summary.txt": "0f80e905040b47a73175a07bbbdc187f43595fc1b49db448e1a074808404febc",
+        "summary.json": "eacea577d6e337163c4ac3ebee16098028a0ac98d1d1090045d2d2ef10ffc14d",
+        "series.csv": "76682d52156fc9aaabffd5076b16f7276c5e0d4a9578731246b3ea5f9f27fd46",
+        "per_item_mae.csv": "5322f2169fad3af6f77c81b87ec4a34b45459aa4d4ba6a3e98b38dcf8c9b7644",
+        "credibility.tsv": "d629946aeff395d35f3fc4d5777dcff25e154710b568895e70209e09c98dde29",
+        "inquiries.tsv": "c68cd02f57f0fdb4e8faa085ef65b7a7ce0a11fc6b95f798a002929e9522970b",
+    },
+    "camouflage": {
+        "summary.txt": "d3e20424f6bc0b3e6b75ab48f60294c39b8455ae18bc7689012362a2447f96c5",
+        "summary.json": "3ab35a4662a43bc36890edd09fc72b49e3d75a49b81c672e24c7bb28162f66c2",
+        "series.csv": "1067a8df08d19e0f6979a564f348508b3d94ad5bf22937a8be9595f22b008a49",
+        "per_item_mae.csv": "fa258b9b424d0bbaf224b7a7b3e8c61a6ddad1b0661ae80812485f543786c478",
+        "credibility.tsv": "646ba87f5825bc8ebbef2fa89863d6b860cf1786d5750b6ec3194c82465dc5b1",
+        "inquiries.tsv": "9c25770e46d835f8bcfb6422bab729c9adf97034d34f6f64af85211d9882ad18",
+    },
+    "whitewashing": {
+        "summary.txt": "b8683a8703a15d96c3b6e99acc7ca8ddf78d79d287d86d8c9ff46b599938535c",
+        "summary.json": "1f85869dae432bc2795e3b67259900aece3676d48780f5eb54dc5bb1eb2362ff",
+        "series.csv": "f2dc9b0bf16dd4adc6f4213fdab96018eb4c82c093e4ab23d4fed42ad7f5b085",
+        "per_item_mae.csv": "32cab840cd1c90cc2d1f06df2f19b67d7c5d61fdbe27cfaf5eea3eb4431a6f58",
+        "credibility.tsv": "e080d95fc0df6217bf82aa6eed1e953b61082ea000837e45d292d352ba3da1d0",
+        "inquiries.tsv": "0a69a76256e9b56a541b0102ae8cfca92357e9d4eed6cab884bba5f6cfcaa89b",
+    },
+    "sybil-starved": {
+        "summary.txt": "03baf90aa6408b704818d2c6568a5a0534d92227d072067f15f0b63d9b8a931e",
+        "summary.json": "36dbe5707f0172a2f56c2d0af3c82f3c9337a9f4f60c088d877dcac6f791992b",
+        "series.csv": "66220314969a28799069723c42c6b0f4c9c19e30f0fd952c0392cc8109191468",
+        "per_item_mae.csv": "9513edfddd3d340ee967924e98da3e24c0821dae7e896f42cf62330ed79f430c",
+        "credibility.tsv": "284344ddbbaf1f33813ee543a632bc80758ab5b8ffabe007b7d035923be08d0a",
+        "inquiries.tsv": "f95a4b8c9eddb01e64d64a18eeb358a8c1a4606056caac3f59f7f757b9e4fb16",
+    },
+    "ratings-whitewashing": {
+        "summary.txt": "e467f3fb98eaf2a33c22a87d1f0f3e9bf5b813f63fc40530a9f2f67bed673526",
+        "summary.json": "57768e87cf69784e0493a07feba1626299abe34c255fc9f5ebbc22d3804b51ac",
+        "series.csv": "2de016000fcc88d41dfd6a7a117f9a8acf2a4a97f93411518cde0d873756ce0d",
+        "per_item_mae.csv": "236c3d319d3a1a008f24acefe6d80a1319460f6d9ba695fab7cbba89e75ac37b",
+        "credibility.tsv": "0b32f660d4e2526323b9a3f93a56dbe252904027f83c449ac0ca972f5923e2bb",
+        "inquiries.tsv": "0f8413da5bcc4027138eab23c79111d72aaa81ca8a9202807b49de4a19b6d2a0",
+    },
+}
+
+
+def write_ratings(path, users=14, items=10, seed=5):
+    """A seeded ratings file: the first half of the items are mostly liked,
+    and some users rate an item twice."""
+    rng = random.Random(seed)
+    lines = []
+    for user in range(users):
+        for item in range(items):
+            good = item < items // 2
+            for _ in range(2 if rng.random() < 0.1 else 1):
+                satisfied = good if rng.random() > 0.15 else not good
+                rating = rng.choice([4, 5]) if satisfied else rng.choice([1, 2, 3])
+                lines.append(f"u{user},i{item},{rating}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def digests_of(tmp_path, case):
+    argv = ["simulate", *CASES[case], "--out", str(tmp_path / "run")]
+    if case.startswith("ratings-"):
+        ratings = tmp_path / "ratings.txt"
+        write_ratings(ratings)
+        argv += ["--ratings", str(ratings)]
+    assert main(argv) == 0
+    return {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_FILES
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_the_recorded_digests(tmp_path, case):
+    assert digests_of(tmp_path, case) == DIGESTS[case]

@@ -14,7 +14,7 @@ responder.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim.core import AgentId, Probability, Recommendation, Verdict
@@ -185,6 +185,31 @@ def test_combine_is_the_reference_rule(a, b):
     )
 
 
+# Components may miss a sum of 1 by up to SUM_TOLERANCE. The first fold shows
+# whether the first mass is rescaled; in the second, heavy conflict amplifies
+# the second mass's excess past the tolerance, so the first step's sum check
+# must fire (a rescale before the next step would hide the excess).
+OFF_BY_THE_TOLERANCE = {
+    "rescaled-first": [MassFunction(0.3, 0.2, 0.5 + 9e-10), mass_from_recommendation(T, 0.5)],
+    "amplified-drift": [
+        MassFunction(0.999, 0.0, 0.001 + 9e-10),
+        MassFunction(0.0, 0.999, 0.001 + 9e-10),
+        mass_from_recommendation(T, 0.5),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_BY_THE_TOLERANCE))
+def test_fold_of_masses_off_by_the_tolerance(name):
+    masses = OFF_BY_THE_TOLERANCE[name]
+    want = bits(reference_combine_all, masses)
+    assert (want == "ValueError") is (name == "amplified-drift")
+    assert bits(combine_all, masses) == want
+    assert bits(lambda pair: combine(*pair), masses[:2]) == bits(
+        lambda pair: reference_combine(*pair), masses[:2]
+    )
+
+
 def test_total_conflict_still_raised_by_the_float_fold():
     with pytest.raises(TotalConflict):
         combine_all([MassFunction(1.0, 0.0, 0.0), MassFunction(0.0, 1.0, 0.0)])
@@ -216,6 +241,47 @@ def test_batch_update_equals_sequential_updates(advisors, beliefs_mass, initial)
             batch.set(agent, score)
             sequential.set(agent, score)
         recs.append(Recommendation(agent, AgentId(10_000), verdict, issued_at))
+    batch.batch_update(recs, beliefs)
+    for rec in recs:
+        sequential.update(rec.advisor, rec.verdict, beliefs)
+    assert batch.known_agents() == sequential.known_agents()
+    assert [float(s).hex() for s in batch.as_map().values()] == [
+        float(s).hex() for s in sequential.as_map().values()
+    ]
+
+
+shared_scores = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, CREDIBILITY_CAP, 1.0])
+tied_or_free = st.one_of(
+    st.sampled_from(
+        [MassFunction(0.0, 0.0, 1.0), MassFunction(0.5, 0.5, 0.0), MassFunction(0.25, 0.25, 0.5)]
+    ),
+    free_masses(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([T, N]), st.one_of(st.none(), shared_scores)),
+        min_size=1,
+        max_size=60,
+    ),
+    tied_or_free,
+    shared_scores,
+)
+@example([(T, 0.0), (T, -0.0), (N, -0.0)], MassFunction(0.5, 0.5, 0.0), 0.5)
+def test_batch_update_with_shared_scores_equals_sequential_updates(advisors, beliefs_mass, initial):
+    # many responders share a handful of scores, as in a saturated round;
+    # -0.0 and 0.0 are equal keys but must keep their own bits on a tie
+    beliefs = BeliefTriple(beliefs_mass.trust, beliefs_mass.distrust, beliefs_mass.uncertainty)
+    batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
+    recs = []
+    for value, (verdict, score) in enumerate(advisors):
+        agent = AgentId(value)
+        if score is not None:
+            batch.set(agent, score)
+            sequential.set(agent, score)
+        recs.append(Recommendation(agent, AgentId(10_000), verdict, 0.5))
     batch.batch_update(recs, beliefs)
     for rec in recs:
         sequential.update(rec.advisor, rec.verdict, beliefs)
