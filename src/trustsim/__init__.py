@@ -35,13 +35,11 @@ from .advisor import (
     AdvisorState,
     InteractionRecord,
     SelfAssessment,
-    derive_recommendation,
     self_assess,
     train_tree,
 )
 from .adversary import (
     AttackKind,
-    BehaviorProfile,
     camouflage_verdict,
     sybil_expand,
     whitewash_maybe_reset,
@@ -65,7 +63,6 @@ __all__ = [
     "AttackKind",
     "AdvisorDataset",
     "AdvisorState",
-    "BehaviorProfile",
     "BeliefTriple",
     "BudgetExhausted",
     "ConfigError",
@@ -95,7 +92,6 @@ __all__ = [
     "combine",
     "combine_all",
     "decide",
-    "derive_recommendation",
     "estimated_trust",
     "ground_truth_trust",
     "ingest_epinions",

@@ -2,7 +2,7 @@
 
 Dishonesty is verdict inversion, the strongest promote/demote policy: whatever
 the advisor's own classifier would honestly answer, an attacking identity
-reports the opposite. The three profiles differ only in when they invert and
+reports the opposite. The three attacks differ only in when they invert and
 how they manage identities:
 
 * sybil: one principal fans out into several fresh fake identities, all
@@ -12,14 +12,13 @@ how they manage identities:
 * whitewashing: invert always, and periodically discard the (by then tainted)
   identity to re-enter as a newcomer.
 
-Everything engine-side stays unaware of these profiles; only the simulator
+Everything engine-side stays unaware of these attacks; only the simulator
 sees them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -33,37 +32,6 @@ class AttackKind(Enum):
     SYBIL = "sybil"
     CAMOUFLAGE = "camouflage"
     WHITEWASHING = "whitewashing"
-
-
-_REQUIRED_PARAMS = {
-    AttackKind.HONEST: (),
-    AttackKind.SYBIL: ("fake_identity_count",),
-    AttackKind.CAMOUFLAGE: ("switch_iteration",),
-    AttackKind.WHITEWASHING: ("reset_period",),
-}
-
-
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """An attack kind plus exactly the parameters that kind requires."""
-
-    kind: AttackKind
-    fake_identity_count: int | None = None
-    switch_iteration: int | None = None
-    reset_period: int | None = None
-
-    def __post_init__(self) -> None:
-        required = _REQUIRED_PARAMS[self.kind]
-        for name in ("fake_identity_count", "switch_iteration", "reset_period"):
-            value = getattr(self, name)
-            if name in required:
-                if value is None or value < 1:
-                    raise ValueError(f"{self.kind.value} needs {name} >= 1")
-            elif value is not None:
-                raise ValueError(f"{self.kind.value} does not take {name}")
-
-
-HONEST_PROFILE = BehaviorProfile(AttackKind.HONEST)
 
 
 def dishonest_verdict(advisor: AdvisorState, subject_features: Sequence[float]) -> Verdict:

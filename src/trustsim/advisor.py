@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AgentId, Probability, Recommendation, Verdict
+from .core import AgentId, Probability, Verdict
 from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict, recalled
 
 
@@ -181,21 +181,6 @@ def advisor_verdict(advisor: AdvisorState, subject_features: Sequence[float]) ->
     if not advisor.assessment.participate:
         return None
     return recalled(advisor.tree, subject_features, predict)
-
-
-def derive_recommendation(
-    advisor: AdvisorState,
-    subject: AgentId,
-    subject_features: Sequence[float],
-    credibility_at_issue: float,
-) -> Recommendation | None:
-    """Honest recommendation for a subject, or None on self-withdrawal."""
-    verdict = advisor_verdict(advisor, subject_features)
-    if verdict is None:
-        return None
-    return Recommendation(
-        advisor.identity, subject, verdict, Probability(credibility_at_issue)
-    )
 
 
 def honest_responder(advisor: AdvisorState):

@@ -51,7 +51,6 @@ _CONFIG_KEYS = {
     "records_per_advisor": "records_per_advisor",
     "n_features": "n_features",
     "ratings": "ratings_path",
-    "trust_file": "trust_path",
 }
 _KEY_OF_FIELD = {fieldname: key for key, fieldname in _CONFIG_KEYS.items()}
 
@@ -93,13 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--n-features", type=int, dest="n_features")
     sim.add_argument("--ratings", help="ratings file to build the population from")
-    sim.add_argument("--trust-file", dest="trust_file")
     sim.add_argument("--out", type=Path, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
     ing = sub.add_parser("ingest", help="parse a ratings file into dataset files")
     ing.add_argument("--ratings", required=True)
-    ing.add_argument("--trust-file", dest="trust_file")
     ing.add_argument("--out", type=Path, required=True)
     ing.set_defaults(func=cmd_ingest)
 
@@ -187,7 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
-        data = ingest_epinions(args.ratings, args.trust_file)
+        data = ingest_epinions(args.ratings)
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

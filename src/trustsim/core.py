@@ -74,8 +74,8 @@ class IdentityIssuer:
     what makes seeded simulations byte-reproducible.
     """
 
-    def __init__(self, start: int = 0) -> None:
-        self._next = start
+    def __init__(self) -> None:
+        self._next = 0
         self._issued: set[int] = set()
 
     def fresh(self, lineage: AgentId | None = None) -> AgentId:
@@ -85,9 +85,6 @@ class IdentityIssuer:
         self._next += 1
         self._issued.add(agent.value)
         return agent
-
-    def issued_count(self) -> int:
-        return len(self._issued)
 
 
 @dataclass(frozen=True, init=False)

@@ -40,15 +40,13 @@ def _settled_score(score: float, said_trust: bool, trust: float, distrust: float
 class CredibilityLedger:
     """Single-writer map from advisor identity to credibility score.
 
-    Scores are keyed by ``AgentId.value``; the identities themselves are kept
-    beside them only to hand back from :meth:`known_agents` and
-    :meth:`as_map`.
+    Scores are keyed by ``AgentId.value``; :meth:`as_map` hands them back
+    keyed by a plain ``AgentId`` of that value.
     """
 
     def __init__(self, initial_score: float = 0.5) -> None:
         self.initial_score = Probability(initial_score)
         self._scores: dict[int, Probability] = {}
-        self._agents: dict[int, AgentId] = {}
 
     def __contains__(self, agent: AgentId) -> bool:
         return agent.value in self._scores
@@ -65,21 +63,13 @@ class CredibilityLedger:
         return self._scores.get(agent.value, self.initial_score)
 
     def set(self, agent: AgentId, score: float) -> None:
-        self._store(agent, Probability(score))
-
-    def _store(self, agent: AgentId, score: Probability) -> None:
-        self._agents.setdefault(agent.value, agent)
-        self._scores[agent.value] = score
+        self._scores[agent.value] = Probability(score)
 
     def drop(self, agent: AgentId) -> None:
         self._scores.pop(agent.value, None)
-        self._agents.pop(agent.value, None)
-
-    def known_agents(self) -> list[AgentId]:
-        return list(self._agents.values())
 
     def as_map(self) -> dict[AgentId, Probability]:
-        return {self._agents[value]: score for value, score in self._scores.items()}
+        return {AgentId(value): score for value, score in self._scores.items()}
 
     def update(self, advisor: AgentId, given: Verdict, beliefs: BeliefTriple) -> Probability:
         """Apply one convergence/divergence update and return the new score."""
@@ -91,7 +81,7 @@ class CredibilityLedger:
                 float(beliefs.distrust),
             )
         )
-        self._store(advisor, result)
+        self._scores[advisor.value] = result
         return result
 
     def batch_update(self, recommendations: Iterable, beliefs: BeliefTriple) -> None:
@@ -120,7 +110,7 @@ class CredibilityLedger:
                 )
             seen.add(rec.advisor.value)
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
-        scores, agents, initial = self._scores, self._agents, self.initial_score
+        scores, initial = self._scores, self.initial_score
         settled: dict[tuple[float, bool], Probability] = {}
         for rec in recs:
             value = rec.advisor.value
@@ -134,7 +124,6 @@ class CredibilityLedger:
                         _settled_score(score, said_trust, trust, distrust)
                     )
                 score = new
-            agents.setdefault(value, rec.advisor)
             scores[value] = score
 
     def save(self, path: str | Path) -> None:

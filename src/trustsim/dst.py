@@ -96,11 +96,6 @@ class BeliefTriple:
     def __post_init__(self) -> None:
         _validate_components(self)
 
-    def as_mass(self) -> MassFunction:
-        """Reinterpret as a mass function (both are distributions over the
-        same three-element frame, so this is a change of role, not of value)."""
-        return MassFunction(self.trust, self.distrust, self.uncertainty)
-
 
 def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFunction:
     """Turn a single verdict into a mass function weighted by credibility.

@@ -5,13 +5,12 @@ integer ratings from 1 to 5. Each user becomes an advisor dataset: one record
 per item the user rated, with features computed from how *other* users rated
 that item and a label from the user's own satisfaction (4 or above counts as
 trustworthy). Item-level ground truth is the fraction of all ratings at 4 or
-above. An optional companion file of ``truster trustee value`` statements is
-parsed and reported but not otherwise consumed here.
+above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .advisor import AdvisorDataset, InteractionRecord
@@ -34,16 +33,12 @@ class IngestStats:
     items: int = 0
     reviews: int = 0
     skipped: int = 0
-    trust_statements: int = 0
 
     def report(self) -> str:
-        line = (
+        return (
             f"{self.users} users, {self.items} items, "
             f"{self.reviews} reviews, {self.skipped} skipped"
         )
-        if self.trust_statements:
-            line += f", {self.trust_statements} trust statements"
-        return line
 
 
 @dataclass
@@ -52,7 +47,6 @@ class EpinionsData:
     item_truth: dict[str, float]
     item_features: dict[str, tuple[float, float, float]]
     stats: IngestStats
-    trust: list[tuple[str, str, float]] = field(default_factory=list)
 
 
 def _split_line(line: str) -> list[str]:
@@ -89,26 +83,6 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
     return rows, skipped
 
 
-def _parse_trust(path: str | Path) -> list[tuple[str, str, float]]:
-    statements: list[tuple[str, str, float]] = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IngestError(f"cannot read trust file {path}: {exc}") from exc
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = _split_line(line)
-        if len(parts) != 3:
-            continue
-        try:
-            statements.append((parts[0], parts[1], float(parts[2])))
-        except ValueError:
-            continue
-    return statements
-
-
 def _mean(values: list[int]) -> float:
     return sum(values) / len(values)
 
@@ -120,7 +94,7 @@ def _variance(values: list[int]) -> float:
 
 def ingest_epinions(
     ratings_path: str | Path,
-    trust_path: str | Path | None = None,
+    *,
     max_skip_ratio: float = 0.1,
 ) -> EpinionsData:
     """Parse a ratings file into advisor datasets and item ground truths.
@@ -164,12 +138,7 @@ def ingest_epinions(
     for user, records in per_user.items():
         datasets[user] = AdvisorDataset(RATINGS_SCHEMA, records)
 
-    trust = _parse_trust(trust_path) if trust_path is not None else []
     stats = IngestStats(
-        users=len(datasets),
-        items=len(by_item),
-        reviews=len(rows),
-        skipped=skipped,
-        trust_statements=len(trust),
+        users=len(datasets), items=len(by_item), reviews=len(rows), skipped=skipped
     )
-    return EpinionsData(datasets, item_truth, item_features, stats, trust)
+    return EpinionsData(datasets, item_truth, item_features, stats)

@@ -37,13 +37,10 @@ class InquiryLedger:
     ``value``; nothing the ledger hands back needs the identities themselves.
     """
 
-    def __init__(self, initial_budget: int = 10, period_length: int = 1) -> None:
+    def __init__(self, initial_budget: int = 10) -> None:
         if initial_budget < 0:
             raise ValueError("initial budget must be nonnegative")
-        if period_length < 1:
-            raise ValueError("period length must be positive")
         self.initial_budget = int(initial_budget)
-        self.period_length = int(period_length)
         self._budget: dict[_Key, int] = {}
         self._answered: dict[_Key, int] = {}
 
@@ -119,10 +116,8 @@ class InquiryLedger:
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def load(
-        cls, path: str | Path, initial_budget: int = 10, period_length: int = 1
-    ) -> "InquiryLedger":
-        ledger = cls(initial_budget, period_length)
+    def load(cls, path: str | Path, initial_budget: int = 10) -> "InquiryLedger":
+        ledger = cls(initial_budget)
         for line in Path(path).read_text().splitlines()[1:]:
             if not line.strip():
                 continue

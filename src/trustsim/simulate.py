@@ -28,8 +28,6 @@ import numpy as np
 
 from .adversary import (
     AttackKind,
-    BehaviorProfile,
-    HONEST_PROFILE,
     camouflage_responder,
     inverting_responder,
     mark_attackers,
@@ -105,7 +103,6 @@ class ScenarioConfig:
     records_per_advisor: int = 60
     n_features: int = 4
     ratings_path: str | None = None
-    trust_path: str | None = None
 
     def validate(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -121,10 +118,9 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(key, f"must be a number, got {value!r}")
-        for key in ("ratings_path", "trust_path"):
-            value = getattr(self, key)
-            if value is not None and not isinstance(value, (str, os.PathLike)):
-                raise ConfigError(key, f"must be a file path, got {value!r}")
+        path = self.ratings_path
+        if path is not None and not isinstance(path, (str, os.PathLike)):
+            raise ConfigError("ratings_path", f"must be a file path, got {path!r}")
         if self.attack_kind not in ATTACK_KINDS:
             raise ConfigError(
                 "attack", f"must be one of {'|'.join(ATTACK_KINDS)}, got {self.attack_kind!r}"
@@ -255,15 +251,11 @@ def population_from_ratings(
 
 @dataclass
 class SimAgent:
-    """Simulator-side bundle: the advisor plus its (hidden) behavior."""
+    """Simulator-side bundle: the advisor plus whether it attacks. Every
+    attacker of a scenario runs the scenario's attack kind."""
 
     state: AdvisorState
-    profile: BehaviorProfile
-    principal: AgentId
-
-    @property
-    def is_attacker(self) -> bool:
-        return self.profile.kind is not AttackKind.HONEST
+    is_attacker: bool
 
 
 @dataclass
@@ -286,24 +278,13 @@ class ScenarioResult:
     inquiry_ledger: InquiryLedger | None = None
 
 
-def _profile_for(kind: AttackKind, config: ScenarioConfig) -> BehaviorProfile:
-    if kind is AttackKind.SYBIL:
-        return BehaviorProfile(kind, fake_identity_count=config.sybil_count)
-    if kind is AttackKind.CAMOUFLAGE:
-        return BehaviorProfile(kind, switch_iteration=config.switch_iteration)
-    if kind is AttackKind.WHITEWASHING:
-        return BehaviorProfile(kind, reset_period=config.reset_period)
-    return HONEST_PROFILE
-
-
-def _responder_for(agent: SimAgent, iteration: int) -> Responder:
-    kind = agent.profile.kind
-    if kind is AttackKind.HONEST:
+def _responder_for(
+    agent: SimAgent, kind: AttackKind, switch_iteration: int, iteration: int
+) -> Responder:
+    if not agent.is_attacker:
         return honest_responder(agent.state)
     if kind is AttackKind.CAMOUFLAGE:
-        return camouflage_responder(
-            agent.state, agent.profile.switch_iteration, iteration
-        )
+        return camouflage_responder(agent.state, switch_iteration, iteration)
     return inverting_responder(agent.state)
 
 
@@ -336,7 +317,7 @@ def run_scenario(
     system = issuer.fresh()
 
     if config.ratings_path:
-        data = ingest_epinions(config.ratings_path, config.trust_path)
+        data = ingest_epinions(config.ratings_path)
         datasets, item_specs = population_from_ratings(
             data, config.n_advisors, config.n_items
         )
@@ -359,9 +340,8 @@ def run_scenario(
     )
     agents: list[SimAgent] = []
     for index, dataset in enumerate(datasets):
-        identity = issuer.fresh()
         state = build_advisor(
-            identity,
+            issuer.fresh(),
             dataset,
             k=config.k_folds,
             threshold=config.participation_threshold,
@@ -369,16 +349,15 @@ def run_scenario(
             max_depth=config.max_depth,
             min_leaf=config.min_leaf,
         )
-        profile = _profile_for(kind, config) if index in attacker_indices else HONEST_PROFILE
-        agents.append(SimAgent(state, profile, principal=identity))
+        agents.append(SimAgent(state, index in attacker_indices))
 
     if kind is AttackKind.SYBIL:
         for agent in [a for a in agents if a.is_attacker]:
             for fake in sybil_expand(agent.state, config.sybil_count, issuer):
-                agents.append(SimAgent(fake, agent.profile, principal=agent.principal))
+                agents.append(SimAgent(fake, True))
 
     credibility = CredibilityLedger(config.initial_credibility)
-    inquiries = InquiryLedger(config.effective_budget(), config.period_length)
+    inquiries = InquiryLedger(config.effective_budget())
 
     n_items, n_iters = len(item_specs), config.n_iterations
     per_item_mae = np.full((n_items, n_iters), np.nan)
@@ -404,7 +383,10 @@ def run_scenario(
                     retired.append(old)
 
         population = {
-            agent.state.identity: _responder_for(agent, iteration) for agent in agents
+            agent.state.identity: _responder_for(
+                agent, kind, config.switch_iteration, iteration
+            )
+            for agent in agents
         }
         eligible = tuple(agent.state.identity for agent in agents)
 
@@ -428,7 +410,8 @@ def run_scenario(
                 credibility.as_map(), default_credibility=config.initial_credibility
             )
 
-        live = {agent.state.identity for agent in agents}
+        # an ordered set: new trajectories start in issuance order (ascending id)
+        live = dict.fromkeys(agent.state.identity for agent in agents)
         for identity in live:
             if identity not in trajectories:
                 trajectories[identity] = [math.nan] * (iteration - 1)

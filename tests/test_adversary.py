@@ -5,8 +5,6 @@ import pytest
 
 from trustsim import adversary, credibility, dst, engine, incentives
 from trustsim.adversary import (
-    AttackKind,
-    BehaviorProfile,
     camouflage_responder,
     camouflage_verdict,
     dishonest_verdict,
@@ -33,20 +31,6 @@ def issuer():
 @pytest.fixture
 def honest_advisor(issuer):
     return build_advisor(issuer.fresh(), separable_dataset(30), seed=3)
-
-
-def test_profile_requires_matching_params():
-    BehaviorProfile(AttackKind.SYBIL, fake_identity_count=4)
-    BehaviorProfile(AttackKind.CAMOUFLAGE, switch_iteration=5)
-    BehaviorProfile(AttackKind.WHITEWASHING, reset_period=3)
-    with pytest.raises(ValueError):
-        BehaviorProfile(AttackKind.SYBIL)
-    with pytest.raises(ValueError):
-        BehaviorProfile(AttackKind.SYBIL, fake_identity_count=0)
-    with pytest.raises(ValueError):
-        BehaviorProfile(AttackKind.HONEST, reset_period=3)
-    with pytest.raises(ValueError):
-        BehaviorProfile(AttackKind.CAMOUFLAGE, switch_iteration=5, reset_period=3)
 
 
 def test_sybil_expand_creates_lineage_marked_newcomers(issuer, honest_advisor):

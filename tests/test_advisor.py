@@ -6,14 +6,14 @@ from trustsim.advisor import (
     advisor_verdict,
     build_advisor,
     cv_folds,
-    derive_recommendation,
+    honest_responder,
     load_dataset,
     save_dataset,
     self_assess,
     train_tree,
 )
 from trustsim.core import AgentId, Verdict
-from trustsim.tree import EmptyDataset, Leaf
+from trustsim.tree import EmptyDataset, Leaf, predict
 
 T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
@@ -119,23 +119,19 @@ def test_self_assess_deterministic():
     assert a == b
 
 
-def test_derive_recommendation_abstains_when_not_participating():
+def test_advisor_verdict_abstains_when_not_participating():
     advisor = build_advisor(AgentId(1), xor_dataset(10), seed=0, max_depth=1)
     assert advisor.assessment.participate is False
-    got = derive_recommendation(advisor, AgentId(2), (0.0, 1.0), 0.5)
-    assert got is None
     assert advisor_verdict(advisor, (0.0, 1.0)) is None
+    assert honest_responder(advisor)(AgentId(2), (0.0, 1.0)) is None
 
 
-def test_derive_recommendation_passes_tree_verdict_through():
+def test_advisor_verdict_passes_tree_verdict_through():
     advisor = build_advisor(AgentId(1), separable_dataset(30), seed=0)
     assert advisor.assessment.participate is True
-    got = derive_recommendation(advisor, AgentId(2), (0.9, 0.45), 0.8)
-    assert got is not None
-    assert got.verdict is T
-    assert got.advisor == AgentId(1)
-    assert got.subject == AgentId(2)
-    assert got.credibility_at_issue == 0.8
+    assert advisor_verdict(advisor, (0.9, 0.45)) is T
+    assert predict(advisor.tree, (0.9, 0.45)) is T
+    assert honest_responder(advisor)(AgentId(2), (0.9, 0.45)) is T
 
 
 def test_single_leaf_tree_predicts_constantly():

@@ -70,11 +70,49 @@ def test_missing_seed_exits_2(capsys, tmp_path):
 
 
 def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 1, "advisrs": 5}))
-    code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+    # no step of the mechanism reads trust statements, so trust_file is as
+    # unknown as a typo
+    for key, value in (("advisrs", 5), ("trust_file", "trust.txt")):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, key: value}))
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "1", "--trust-file", "trust.txt"],
+        ["ingest", "--ratings", "ratings.txt", "--trust-file", "trust.txt"],
+    ],
+    ids=["simulate", "ingest"],
+)
+def test_trust_file_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trust-file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        ("--sybil-count", "sybil_count"),
+        ("--switch-iteration", "switch_iteration"),
+        ("--reset-period", "reset_period"),
+    ],
+)
+def test_attack_parameter_at_zero_exits_2_and_names_it(tmp_path, capsys, flag, key):
+    out = tmp_path / "x"
+    code = run_cli("simulate", "--seed", "1", flag, "0", "--out", str(out), *FAST)
     assert code == 2
-    assert "advisrs" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {key}: must be at least 1\n"
+    assert not out.exists()
 
 
 def test_invalid_value_exits_2(tmp_path, capsys):

@@ -180,6 +180,21 @@ def test_combine_matches_oracle(a, b):
     assert got.uncertainty == pytest.approx(want[2], abs=1e-9)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="the second mass sums to 1 only after rounding (exactly 1 - 5.2e-17), and "
+    "combine normalises by 1 - conflict, not by the mass that survives: dividing by "
+    "1.9e-8 amplifies the gap past SUM_TOLERANCE, in exact arithmetic as well",
+)
+def test_combine_near_total_conflict_with_rounded_mass():
+    # found by hypothesis in test_combine_matches_oracle
+    a = MassFunction(1.0, 0.0, 0.0)
+    b = MassFunction(1.858507298368634e-08, 0.999999981414927, 0.0)
+    got = combine(a, b)
+    assert (got.trust, got.distrust, got.uncertainty) == pytest.approx((1.0, 0.0, 0.0), abs=1e-9)
+
+
 def test_agreement_is_monotone_over_credibility_grid():
     # two advisors both favouring trust can only reinforce each other
     for i in range(10):

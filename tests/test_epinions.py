@@ -102,15 +102,6 @@ def test_excessive_skip_ratio_aborts(tmp_path):
         ingest_epinions(path)
 
 
-def test_trust_file_parsed_and_counted(tmp_path, toy_file):
-    trust = tmp_path / "trust.txt"
-    trust.write_text("u1,u2,1\nu2,u1,0.5\n")
-    data = ingest_epinions(toy_file, trust)
-    assert data.stats.trust_statements == 2
-    assert ("u1", "u2", 1.0) in data.trust
-    assert "trust statements" in data.stats.report()
-
-
 # ---------------------------------------------------------------------------
 # leave-user-out features against a brute-force oracle in exact arithmetic
 # ---------------------------------------------------------------------------

@@ -141,5 +141,3 @@ def test_snapshot_round_trip(tmp_path):
 def test_validation():
     with pytest.raises(ValueError):
         InquiryLedger(initial_budget=-1)
-    with pytest.raises(ValueError):
-        InquiryLedger(period_length=0)

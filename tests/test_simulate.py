@@ -255,6 +255,20 @@ def test_trajectories_are_aligned_with_iterations():
         assert len(series) == SMALL["n_iterations"]
 
 
+@pytest.mark.parametrize("attack", ["none", "sybil", "whitewashing"])
+def test_trajectory_keys_come_in_issuance_order(attack):
+    # new identities (sybil fakes, whitewash successors) join in the order
+    # they were issued
+    config = ScenarioConfig(
+        seed=3, attack_kind=attack, n_advisors=10, n_items=3, n_iterations=4, reset_period=2
+    )
+    result = run_scenario(config)
+    keys = [agent.value for agent in result.credibility_trajectories]
+    assert keys == sorted(keys)
+    everyone = {agent.value for agent in result.final_identities + result.retired_identities}
+    assert set(keys) == everyone
+
+
 def write_ratings(path, users=12, items=10, seed=5):
     import random
 
