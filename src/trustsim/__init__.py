@@ -13,11 +13,9 @@ from .core import (
     IdentityIssuer,
     Probability,
     Recommendation,
-    UnknownLineage,
     Verdict,
 )
 from .dst import (
-    BeliefTriple,
     EmptyEvidence,
     MassFunction,
     TotalConflict,
@@ -63,7 +61,6 @@ __all__ = [
     "AttackKind",
     "AdvisorDataset",
     "AdvisorState",
-    "BeliefTriple",
     "BudgetExhausted",
     "ConfigError",
     "CredibilityLedger",
@@ -86,7 +83,6 @@ __all__ = [
     "SelfAssessment",
     "SPLIT_BACKEND",
     "TotalConflict",
-    "UnknownLineage",
     "Verdict",
     "camouflage_verdict",
     "combine",

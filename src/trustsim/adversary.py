@@ -57,19 +57,16 @@ def sybil_expand(
 ) -> list[AdvisorState]:
     """Create ``count`` fake identities controlled by ``attacker``.
 
-    Fakes share the principal's dataset, tree and assessment; each gets a
-    fresh id whose lineage points at the principal. They enter the population
-    as newcomers, so the credibility ledger sees them at its initial score.
+    Fakes share the principal's tree and assessment; each gets a fresh id.
+    They enter the population as newcomers, so the credibility ledger sees
+    them at its initial score.
     """
     if count < 1:
         raise ValueError("a sybil expansion needs at least one fake identity")
-    fakes = []
-    for _ in range(count):
-        fake_id = issuer.fresh(lineage=attacker.identity)
-        fakes.append(
-            AdvisorState(fake_id, attacker.dataset, attacker.tree, attacker.assessment)
-        )
-    return fakes
+    return [
+        AdvisorState(issuer.fresh(), attacker.tree, attacker.assessment)
+        for _ in range(count)
+    ]
 
 
 def whitewash_maybe_reset(
@@ -79,15 +76,13 @@ def whitewash_maybe_reset(
     issuer: IdentityIssuer,
 ) -> AdvisorState:
     """At every ``reset_period``-th iteration, retire the current identity and
-    return the same advisor under a fresh one (lineage rooted at the original
-    principal). Otherwise return the state unchanged."""
+    return the same advisor under a fresh one. Otherwise return the state
+    unchanged."""
     if reset_period < 1:
         raise ValueError("reset period must be positive")
     if current_iteration % reset_period != 0:
         return attacker
-    root = attacker.identity.lineage or attacker.identity
-    fresh = issuer.fresh(lineage=root)
-    return AdvisorState(fresh, attacker.dataset, attacker.tree, attacker.assessment)
+    return AdvisorState(issuer.fresh(), attacker.tree, attacker.assessment)
 
 
 def inverting_responder(advisor: AdvisorState):

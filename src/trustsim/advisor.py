@@ -75,7 +75,6 @@ class AdvisorState:
     """Everything an advisor needs to answer requests."""
 
     identity: AgentId
-    dataset: AdvisorDataset
     tree: DecisionTree
     assessment: SelfAssessment
 
@@ -125,8 +124,8 @@ def self_assess(
         raise EmptyDataset("advisor has no interaction records")
     if n < 2:
         raise ValueError("cross-validation needs at least two records")
-    if k < 1:
-        raise ValueError("fold count must be positive")
+    if k < 2:
+        raise ValueError("cross-validation needs at least two folds")
     effective_k = min(k, n)
     values, labels = dataset.to_arrays()
     folds = cv_folds(n, effective_k, seed)
@@ -171,7 +170,7 @@ def build_advisor(
         max_depth=max_depth,
         min_leaf=min_leaf,
     )
-    return AdvisorState(identity, dataset, model, assessment)
+    return AdvisorState(identity, model, assessment)
 
 
 def advisor_verdict(advisor: AdvisorState, subject_features: Sequence[float]) -> Verdict | None:

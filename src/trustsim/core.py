@@ -8,8 +8,9 @@ and to use as dictionary keys. Identity issuance goes through a single
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Probability(float):
@@ -48,23 +49,15 @@ class Verdict(Enum):
         return Verdict.TRUSTWORTHY
 
 
-@dataclass(frozen=True)
-class AgentId:
+class AgentId(NamedTuple):
     """Opaque agent identity.
 
-    ``lineage`` links a fabricated or successor identity back to the principal
-    that controls it. It exists purely for simulator-side ground-truth
-    accounting: it is excluded from equality, hashing and repr, and engine-side
-    code never reads it. Attacks work precisely because the defender cannot
-    see who controls which identity.
+    It carries nothing but its number: attacks work precisely because the
+    defender cannot see who controls which identity. A named tuple hashes and
+    compares in C, and ``hash(AgentId(v)) == hash((v,))``.
     """
 
     value: int
-    lineage: "AgentId | None" = field(default=None, compare=False, repr=False)
-
-
-class UnknownLineage(ValueError):
-    """A new identity claimed descent from an id that was never issued."""
 
 
 class IdentityIssuer:
@@ -76,14 +69,10 @@ class IdentityIssuer:
 
     def __init__(self) -> None:
         self._next = 0
-        self._issued: set[int] = set()
 
-    def fresh(self, lineage: AgentId | None = None) -> AgentId:
-        if lineage is not None and lineage.value not in self._issued:
-            raise UnknownLineage(f"lineage {lineage.value} was never issued")
-        agent = AgentId(self._next, lineage)
+    def fresh(self) -> AgentId:
+        agent = AgentId(self._next)
         self._next += 1
-        self._issued.add(agent.value)
         return agent
 
 

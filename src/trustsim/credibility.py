@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import AgentId, Probability, Verdict
-from .dst import BeliefTriple
+from .dst import MassFunction
 
 
 class DuplicateRecommendation(ValueError):
@@ -71,7 +71,7 @@ class CredibilityLedger:
     def as_map(self) -> dict[AgentId, Probability]:
         return {AgentId(value): score for value, score in self._scores.items()}
 
-    def update(self, advisor: AgentId, given: Verdict, beliefs: BeliefTriple) -> Probability:
+    def update(self, advisor: AgentId, given: Verdict, beliefs: MassFunction) -> Probability:
         """Apply one convergence/divergence update and return the new score."""
         result = Probability(
             _settled_score(
@@ -84,7 +84,7 @@ class CredibilityLedger:
         self._scores[advisor.value] = result
         return result
 
-    def batch_update(self, recommendations: Iterable, beliefs: BeliefTriple) -> None:
+    def batch_update(self, recommendations: Iterable, beliefs: MassFunction) -> None:
         """Update each responding advisor exactly once.
 
         Advisors absent from ``recommendations`` are untouched. Recommendations

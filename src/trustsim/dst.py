@@ -40,36 +40,15 @@ class EmptyEvidence(ValueError):
     """Combination was requested over an empty collection of masses."""
 
 
-def _check_distribution(trust: float, distrust: float, uncertainty: float) -> None:
-    total = trust + distrust + uncertainty
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"components must sum to 1, got {total!r}")
-
-
-def _check_triple(trust: float, distrust: float, uncertainty: float) -> None:
-    """The checks a :class:`BeliefTriple` of these floats would make, on the
-    floats themselves: every component in [0, 1], components summing to 1."""
-    if not (0.0 <= trust <= 1.0 and 0.0 <= distrust <= 1.0 and 0.0 <= uncertainty <= 1.0):
-        raise ValueError(
-            f"probability must lie in [0, 1], got {(trust, distrust, uncertainty)!r}"
-        )
-    _check_distribution(trust, distrust, uncertainty)
-
-
-def _validate_components(triple: "MassFunction | BeliefTriple") -> None:
-    """Wrap each component that is not a :class:`Probability` yet, then check
-    the sum; components that already are one are kept as they are."""
-    for name in ("trust", "distrust", "uncertainty"):
-        object.__setattr__(triple, name, as_probability(getattr(triple, name)))
-    _check_distribution(triple.trust, triple.distrust, triple.uncertainty)
-
-
 @dataclass(frozen=True)
 class MassFunction:
-    """Basic probability assignment of one piece of evidence.
+    """Basic probability assignment over the frame: one piece of evidence, or
+    the fused beliefs that combining several of them yields.
 
     ``trust`` backs the trustworthy hypothesis, ``distrust`` the untrustworthy
     one, and ``uncertainty`` is the mass left on "either could be true".
+    Components that are not a :class:`Probability` yet are wrapped in one;
+    components that already are one are kept as they are.
     """
 
     trust: Probability
@@ -77,24 +56,18 @@ class MassFunction:
     uncertainty: Probability
 
     def __post_init__(self) -> None:
-        _validate_components(self)
+        for name in ("trust", "distrust", "uncertainty"):
+            object.__setattr__(self, name, as_probability(getattr(self, name)))
+        total = self.trust + self.distrust + self.uncertainty
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"components must sum to 1, got {total!r}")
 
 
 _ZERO = Probability(0.0)
 
+#: Pure uncertainty: no evidence either way. A round in which every advisor
+#: abstains reports it as its beliefs.
 VACUOUS = MassFunction(_ZERO, _ZERO, Probability(1.0))
-
-
-@dataclass(frozen=True)
-class BeliefTriple:
-    """Normalised aggregate beliefs produced by combining mass functions."""
-
-    trust: Probability
-    distrust: Probability
-    uncertainty: Probability
-
-    def __post_init__(self) -> None:
-        _validate_components(self)
 
 
 def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFunction:
@@ -113,15 +86,18 @@ def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFuncti
 def _rescaled(
     trust: float, distrust: float, uncertainty: float
 ) -> tuple[float, float, float]:
-    """The triple divided by its sum, checked as a :class:`MassFunction` of
-    these floats would be; a triple that sums to exactly 1 is returned as
-    it is."""
+    """The triple divided by its sum; a triple that sums to exactly 1 is
+    returned as it is.
+
+    Callers pass components in [0, 1] summing to within
+    :data:`SUM_TOLERANCE` of 1. Each component is at most the float sum and
+    division rounds monotonically, so every quotient stays in [0, 1] and the
+    quotients sum to 1 within a few ulps: the result needs no check.
+    """
     total = trust + distrust + uncertainty
     if total == 1.0:
         return trust, distrust, uncertainty
-    trust, distrust, uncertainty = trust / total, distrust / total, uncertainty / total
-    _check_triple(trust, distrust, uncertainty)
-    return trust, distrust, uncertainty
+    return trust / total, distrust / total, uncertainty / total
 
 
 def _fold(
@@ -171,23 +147,23 @@ def _fold(
     return t, d, u
 
 
-def combine(a: MassFunction, b: MassFunction) -> BeliefTriple:
+def combine(a: MassFunction, b: MassFunction) -> MassFunction:
     """Fuse two mass functions with Dempster's rule (one step of :func:`_fold`).
 
     ``combine(a, b)`` and ``combine(b, a)`` are bitwise identical.
     """
-    return BeliefTriple(*_fold(a.trust, a.distrust, a.uncertainty, (b,)))
+    return MassFunction(*_fold(a.trust, a.distrust, a.uncertainty, (b,)))
 
 
-def combine_all(masses: Iterable[MassFunction]) -> BeliefTriple:
+def combine_all(masses: Iterable[MassFunction]) -> MassFunction:
     """Left-fold of pairwise combination over an ordered collection.
 
     Dempster's rule is associative and commutative on this frame, so the fold
     order does not change the result (beyond float noise); a singleton input
-    is returned unchanged in triple form.
+    is returned as it is.
 
     The fold runs on plain floats (:func:`_fold`) and builds one
-    :class:`BeliefTriple` at the end. The first mass is rescaled like every
+    :class:`MassFunction` at the end. The first mass is rescaled like every
     later intermediate result before the first step, so the result is bit for
     bit that of ``combine`` applied pairwise to rescaled triples.
     """
@@ -196,14 +172,14 @@ def combine_all(masses: Iterable[MassFunction]) -> BeliefTriple:
         raise EmptyEvidence("cannot combine an empty collection of masses")
     first = masses[0]
     if len(masses) == 1:
-        return BeliefTriple(first.trust, first.distrust, first.uncertainty)
+        return first
     trust, distrust, uncertainty = _rescaled(first.trust, first.distrust, first.uncertainty)
-    return BeliefTriple(
+    return MassFunction(
         *_fold(trust, distrust, uncertainty, itertools.islice(masses, 1, None))
     )
 
 
-def decide(beliefs: BeliefTriple) -> Verdict:
+def decide(beliefs: MassFunction) -> Verdict:
     """Final verdict: trustworthy only when belief in trust strictly wins.
 
     Ties fall to untrustworthy, the conservative outcome for a trust decision.
@@ -213,7 +189,7 @@ def decide(beliefs: BeliefTriple) -> Verdict:
     return Verdict.UNTRUSTWORTHY
 
 
-def estimated_trust(beliefs: BeliefTriple) -> Probability:
+def estimated_trust(beliefs: MassFunction) -> Probability:
     """Scalar trust estimate in [0, 1]: belief in trust renormalised against
     the directional evidence, with pure uncertainty mapping to 0.5."""
     denom = beliefs.trust + beliefs.distrust

@@ -1,8 +1,8 @@
 """One recommendation round, end to end.
 
 The engine broadcasts a request to every eligible advisor it still has budget
-to ask, collects the verdicts of those who answer, fuses them into a belief
-triple weighted by each advisor's credibility as of collection time, decides,
+to ask, collects the verdicts of those who answer, fuses them into one mass
+function weighted by each advisor's credibility as of collection time, decides,
 and only then settles the ledgers (credibility updates for responders, answer
 tallies for the incentive scheme). Reading everything before writing anything
 means a round can never feed its own updates back into its own aggregation.
@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 from .core import AgentId, Probability, Recommendation, Verdict
 from .credibility import CredibilityLedger
 from .dst import (
-    BeliefTriple,
+    VACUOUS,
     MassFunction,
     TotalConflict,
     combine_all,
@@ -31,9 +31,6 @@ from .incentives import BudgetExhausted, InquiryLedger
 
 #: An advisor's answer policy: a verdict, or None to abstain.
 Responder = Callable[[AgentId, Sequence[float]], "Verdict | None"]
-
-#: Belief state reported when every advisor abstained: pure uncertainty.
-ALL_ABSTAIN_BELIEFS = BeliefTriple(Probability(0.0), Probability(0.0), Probability(1.0))
 
 
 class RoundFailure(RuntimeError):
@@ -66,7 +63,7 @@ class RoundOutcome:
     never asked.
     """
 
-    beliefs: BeliefTriple
+    beliefs: MassFunction
     verdict: Verdict
     estimated_trust: Probability
     responders: tuple[Recommendation, ...]
@@ -139,7 +136,7 @@ def run_round(
             for rec in responders:
                 inquiries.record_answer(rec.advisor, requester)
     else:
-        beliefs = ALL_ABSTAIN_BELIEFS
+        beliefs = VACUOUS
         verdict = Verdict.UNTRUSTWORTHY
         trust = Probability(0.5)
 

@@ -12,15 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .advisor import AdvisorDataset, InteractionRecord
-from .core import Verdict
+from .core import Probability, Verdict
 
 #: Feature schema for ratings-derived records, in order.
 RATINGS_SCHEMA = ("mean_rating_others", "rating_count", "rating_variance")
 
 #: A user's own rating at or above this counts as a trustworthy interaction.
 SATISFACTION_CUTOFF = 4
+
+
+def ground_truth_trust(ratings: Sequence[int]) -> Probability:
+    """Actual trust of an item: the fraction of its ratings at or above
+    :data:`SATISFACTION_CUTOFF`."""
+    if not ratings:
+        raise ValueError("an item with no ratings has no ground truth")
+    return Probability(sum(1 for r in ratings if r >= SATISFACTION_CUTOFF) / len(ratings))
 
 
 class IngestError(ValueError):
@@ -121,7 +130,7 @@ def ingest_epinions(
     item_features: dict[str, tuple[float, float, float]] = {}
     for item, pairs in by_item.items():
         ratings = [rating for _, rating in pairs]
-        item_truth[item] = sum(1 for r in ratings if r >= SATISFACTION_CUTOFF) / len(ratings)
+        item_truth[item] = float(ground_truth_trust(ratings))
         item_features[item] = (_mean(ratings), float(len(ratings)), _variance(ratings))
 
     datasets: dict[str, AdvisorDataset] = {}

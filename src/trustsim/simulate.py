@@ -22,7 +22,7 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,13 +41,13 @@ from .advisor import (
     build_advisor,
     honest_responder,
 )
-from .core import AgentId, IdentityIssuer, Probability, Verdict
+from .core import AgentId, IdentityIssuer, Verdict
 from .credibility import CredibilityLedger
 from .engine import RecommendationRequest, Responder, run_round
-from .epinions import EpinionsData, ingest_epinions
+from .epinions import EpinionsData, ground_truth_trust, ingest_epinions
 from .incentives import InquiryLedger
 
-ATTACK_KINDS = ("none", "sybil", "camouflage", "whitewashing")
+ATTACK_KINDS = tuple(kind.value for kind in AttackKind)
 
 
 class ConfigError(ValueError):
@@ -130,6 +130,8 @@ class ScenarioConfig:
         for key in _COUNT_FIELDS:
             if getattr(self, key) < 1:
                 raise ConfigError(key, "must be at least 1")
+        if self.k_folds < 2:
+            raise ConfigError("k_folds", "must be at least 2 (cross-validation needs two folds)")
         if self.records_per_advisor < 2:
             raise ConfigError(
                 "records_per_advisor", "must be at least 2 (cross-validation needs two)"
@@ -150,13 +152,6 @@ class ScenarioConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def ground_truth_trust(ratings: Sequence[int]) -> Probability:
-    """Actual trust of an item: the fraction of its ratings at 4 or above."""
-    if not ratings:
-        raise ValueError("an item with no ratings has no ground truth")
-    return Probability(sum(1 for r in ratings if r >= 4) / len(ratings))
 
 
 def mae(actual: float, estimated: float, n_advisors_consulted: int) -> float:
@@ -472,40 +467,20 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     config = result.config
 
-    header = (
-        "# attack  seed  mae_mean  mae_std  mae_plain_mean  mae_plain_std  cells  skipped"
-    )
-    row = "  ".join(
-        [
-            config.attack_kind,
-            str(config.seed),
-            _fmt(result.summary[0]),
-            _fmt(result.summary[1]),
-            _fmt(result.summary_plain[0]),
-            _fmt(result.summary_plain[1]),
-            str(int(result.per_item_mae.size - result.skipped_cells)),
-            str(result.skipped_cells),
-        ]
-    )
+    summary = {
+        "attack": config.attack_kind,
+        "seed": config.seed,
+        "mae_mean": result.summary[0],
+        "mae_std": result.summary[1],
+        "mae_plain_mean": result.summary_plain[0],
+        "mae_plain_std": result.summary_plain[1],
+        "cells": int(result.per_item_mae.size - result.skipped_cells),
+        "skipped": result.skipped_cells,
+    }
+    header = "# " + "  ".join(summary)
+    row = "  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in summary.values())
     (out / "summary.txt").write_text(header + "\n" + row + "\n")
-
-    (out / "summary.json").write_text(
-        json.dumps(
-            {
-                "attack": config.attack_kind,
-                "seed": config.seed,
-                "mae_mean": result.summary[0],
-                "mae_std": result.summary[1],
-                "mae_plain_mean": result.summary_plain[0],
-                "mae_plain_std": result.summary_plain[1],
-                "cells": int(result.per_item_mae.size - result.skipped_cells),
-                "skipped": result.skipped_cells,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     series_lines = ["iteration,mean_mae,mean_attacker_credibility,mean_honest_credibility"]
     for (iteration, value), attacker, honest in zip(

@@ -19,7 +19,7 @@ from trustsim.advisor import AdvisorDataset, InteractionRecord, cv_folds, self_a
 from trustsim.cli import main as cli_main
 from trustsim.core import AgentId, Verdict
 from trustsim.credibility import CredibilityLedger
-from trustsim.dst import VACUOUS, BeliefTriple, combine, combine_all
+from trustsim.dst import VACUOUS, MassFunction, combine, combine_all
 from trustsim.engine import RecommendationRequest, run_round
 from trustsim.incentives import InquiryLedger
 from trustsim.simulate import ScenarioConfig, run_scenario
@@ -138,7 +138,7 @@ def test_c03_credibility_update_oracle():
         ledger = CredibilityLedger()
         ledger.set(agent, score)
         verdict = T if said_trust else N
-        got = ledger.update(agent, verdict, BeliefTriple(trust, distrust, 1.0 - trust - distrust))
+        got = ledger.update(agent, verdict, MassFunction(trust, distrust, 1.0 - trust - distrust))
         want = oracle(score, said_trust, trust, distrust)
         assert 0.0 <= got <= 1.0
         assert got == pytest.approx(want, abs=1e-12)

@@ -39,8 +39,8 @@ def test_sybil_expand_creates_lineage_marked_newcomers(issuer, honest_advisor):
     assert len(fakes) == 5
     assert len({fake.identity for fake in fakes}) == 5
     for fake in fakes:
-        assert fake.identity.lineage == honest_advisor.identity
-        assert fake.dataset is honest_advisor.dataset
+        assert fake.tree is honest_advisor.tree
+        assert fake.assessment is honest_advisor.assessment
         assert ledger.get(fake.identity) == 0.5
 
 
@@ -74,14 +74,8 @@ def test_whitewash_resets_only_on_period(issuer, honest_advisor):
     assert same.identity == honest_advisor.identity
     fresh = whitewash_maybe_reset(honest_advisor, 3, 3, issuer)
     assert fresh.identity != honest_advisor.identity
-    assert fresh.identity.lineage == honest_advisor.identity
-    assert fresh.dataset is honest_advisor.dataset
-
-
-def test_whitewash_lineage_stays_rooted_at_principal(issuer, honest_advisor):
-    first = whitewash_maybe_reset(honest_advisor, 3, 3, issuer)
-    second = whitewash_maybe_reset(first, 6, 3, issuer)
-    assert second.identity.lineage == honest_advisor.identity
+    assert fresh.tree is honest_advisor.tree
+    assert fresh.assessment is honest_advisor.assessment
 
 
 def test_inversion_is_exact_negation_of_honest_pipeline(issuer):

@@ -112,6 +112,13 @@ def test_self_assess_needs_two_records():
         self_assess(tiny, k=10)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_self_assess_needs_two_folds(k):
+    # one fold would hold every record and leave its training set empty
+    with pytest.raises(ValueError, match="cross-validation needs at least two folds"):
+        self_assess(separable_dataset(10), k=k)
+
+
 def test_self_assess_deterministic():
     data = separable_dataset(30)
     a = self_assess(data, k=10, seed=9)

@@ -163,6 +163,17 @@ def test_single_record_per_advisor_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_single_fold_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli(
+        "simulate", "--seed", "1", "--advisors", "3", "--items", "2", "--iterations", "1",
+        "--k-folds", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert "k_folds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_overrides_config_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 5, "attack": "none", "advisors": 6,

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from trustsim.core import AgentId, Probability, Recommendation, Verdict
 from trustsim.credibility import CredibilityLedger, DuplicateRecommendation
-from trustsim.dst import BeliefTriple
+from trustsim.dst import MassFunction
 
 
 def triple(t, n):
-    return BeliefTriple(t, n, 1.0 - t - n)
+    return MassFunction(t, n, 1.0 - t - n)
 
 
 def oracle_update(score, said_trust, trust, distrust):

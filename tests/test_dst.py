@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from trustsim.core import Probability, Verdict
 from trustsim.dst import (
+    SUM_TOLERANCE,
     VACUOUS,
-    BeliefTriple,
     EmptyEvidence,
     MassFunction,
     TotalConflict,
@@ -16,6 +16,7 @@ from trustsim.dst import (
     combine_all,
     decide,
     estimated_trust,
+    _rescaled,
     mass_from_recommendation,
 )
 
@@ -264,6 +265,36 @@ def test_long_saturated_fold_stays_normalised():
     assert got.distrust > got.trust
 
 
+# components near 0 (subnormals included), near 1, and anywhere between
+component = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0 - 2**-53, 1.0]),
+)
+
+
+@st.composite
+def near_distributions(draw):
+    """Triples with components in [0, 1] whose float sum lies within
+    SUM_TOLERANCE of 1, in any order: what a fold step hands the rescale."""
+    a = draw(component)
+    b = draw(st.one_of(component, st.floats(0.0, 1.0 - a)))
+    drift = draw(st.floats(-SUM_TOLERANCE, SUM_TOLERANCE))
+    c = min(1.0, max(0.0, (1.0 - a - b) + drift))
+    triple = draw(st.permutations((a, b, c)))
+    assume(abs(sum(triple) - 1.0) <= SUM_TOLERANCE)
+    return tuple(triple)
+
+
+@settings(max_examples=500)
+@given(near_distributions())
+def test_rescaled_needs_no_check(triple):
+    # every component is at most the float sum and division rounds
+    # monotonically, so the rescale can leave neither [0, 1] nor the tolerance
+    trust, distrust, uncertainty = _rescaled(*triple)
+    assert 0.0 <= trust <= 1.0 and 0.0 <= distrust <= 1.0 and 0.0 <= uncertainty <= 1.0
+    assert abs(trust + distrust + uncertainty - 1.0) <= SUM_TOLERANCE
+
+
 def test_credibility_outweighs_count():
     # up to ten barely credible dissenters lose to one strong advisor
     strong = mass_from_recommendation(Verdict.TRUSTWORTHY, 0.9)
@@ -279,33 +310,33 @@ def test_credibility_outweighs_count():
 
 
 def test_decide_trust_dominant():
-    assert decide(BeliefTriple(0.92, 0.0, 0.08)) is Verdict.TRUSTWORTHY
+    assert decide(MassFunction(0.92, 0.0, 0.08)) is Verdict.TRUSTWORTHY
 
 
 def test_decide_tie_is_untrustworthy():
-    assert decide(BeliefTriple(0.375, 0.375, 0.25)) is Verdict.UNTRUSTWORTHY
+    assert decide(MassFunction(0.375, 0.375, 0.25)) is Verdict.UNTRUSTWORTHY
 
 
 def test_decide_distrust_dominant():
-    assert decide(BeliefTriple(0.1, 0.2, 0.7)) is Verdict.UNTRUSTWORTHY
+    assert decide(MassFunction(0.1, 0.2, 0.7)) is Verdict.UNTRUSTWORTHY
 
 
 def test_estimated_trust_saturates():
-    assert estimated_trust(BeliefTriple(0.92, 0.0, 0.08)) == 1.0
+    assert estimated_trust(MassFunction(0.92, 0.0, 0.08)) == 1.0
 
 
 def test_estimated_trust_of_pure_uncertainty():
-    assert estimated_trust(BeliefTriple(0.0, 0.0, 1.0)) == 0.5
+    assert estimated_trust(MassFunction(0.0, 0.0, 1.0)) == 0.5
 
 
 def test_estimated_trust_of_symmetric_conflict():
-    assert estimated_trust(BeliefTriple(0.375, 0.375, 0.25)) == 0.5
+    assert estimated_trust(MassFunction(0.375, 0.375, 0.25)) == 0.5
 
 
 def test_estimated_trust_stays_probability():
     rng = random.Random(3)
     for _ in range(500):
         mass = random_mass(rng)
-        value = estimated_trust(BeliefTriple(mass.trust, mass.distrust, mass.uncertainty))
+        value = estimated_trust(mass)
         assert 0.0 <= value <= 1.0
         assert isinstance(value, Probability)

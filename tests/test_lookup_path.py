@@ -23,11 +23,14 @@ from trustsim.dst import combine_all, mass_from_recommendation
 from trustsim.simulate import ScenarioConfig, run_scenario
 from trustsim.tree import predict
 
-from test_advisor import separable_dataset
+from test_advisor import separable_dataset, xor_dataset
 
 T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
 SUBJECT = AgentId(999)
+
+#: The records ``state`` is trained on; an advisor keeps only its tree.
+DATASET = separable_dataset(30)
 
 
 @pytest.fixture
@@ -37,7 +40,7 @@ def issuer():
 
 @pytest.fixture
 def state(issuer):
-    return build_advisor(issuer.fresh(), separable_dataset(30), seed=3)
+    return build_advisor(issuer.fresh(), DATASET, seed=3)
 
 
 @pytest.fixture
@@ -65,7 +68,7 @@ def walks(monkeypatch, state):
 
 def features_for(state, verdict):
     """A feature tuple the state's tree answers ``verdict`` for."""
-    for record in state.dataset.records:
+    for record in DATASET.records:
         if predict(state.tree, record.features) is verdict:
             return record.features
     raise AssertionError(f"the tree never answers {verdict}")
@@ -126,7 +129,7 @@ def test_whitewash_successor_answers_like_a_fresh_tree(state, issuer):
     features = features_for(state, T)
     inverting_responder(state)(SUBJECT, features)
     successor = whitewash_maybe_reset(state, 3, 3, issuer)
-    fresh = build_advisor(issuer.fresh(), state.dataset, seed=3)
+    fresh = build_advisor(issuer.fresh(), DATASET, seed=3)
     assert fresh.tree == state.tree and fresh.tree.verdicts == {}
     assert inverting_responder(successor)(SUBJECT, features) is inverting_responder(fresh)(
         SUBJECT, features
@@ -151,12 +154,11 @@ def test_changed_features_are_walked_again(walks, state):
 
 
 def test_withdrawn_advisor_never_walks(walks, issuer):
-    from test_advisor import xor_dataset
-
-    withdrawn = build_advisor(issuer.fresh(), xor_dataset(), seed=1, max_depth=1)
+    dataset = xor_dataset()
+    withdrawn = build_advisor(issuer.fresh(), dataset, seed=1, max_depth=1)
     assert not withdrawn.assessment.participate
     walks.clear()
-    features = withdrawn.dataset.records[0].features
+    features = dataset.records[0].features
     assert honest_responder(withdrawn)(SUBJECT, features) is None
     assert walks == Counter()
     assert withdrawn.tree.verdicts == {}
@@ -169,7 +171,7 @@ def test_wrong_width_is_rejected_and_not_remembered(state):
 
 
 def test_memo_is_not_part_of_the_tree_value(state, issuer):
-    twin = build_advisor(issuer.fresh(), state.dataset, seed=3)
+    twin = build_advisor(issuer.fresh(), DATASET, seed=3)
     honest_responder(state)(SUBJECT, features_for(state, T))
     assert state.tree.verdicts and not twin.tree.verdicts
     assert state.tree == twin.tree

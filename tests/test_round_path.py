@@ -2,7 +2,7 @@
 
 ``reference_combine_all`` is the fold as it was written on objects: the
 accumulator becomes a mass function, is rescaled to sum to one, and is
-combined with the next mass into a new validated ``BeliefTriple``.
+combined with the next mass into a new validated ``MassFunction``.
 ``combine_all`` now runs the same arithmetic on plain floats; every result
 must carry the same bits. The saturated cases pile 200+ capped voters on both
 sides, where the fold is most sensitive to the order of operations. A round
@@ -23,7 +23,6 @@ from trustsim.engine import RecommendationRequest, RoundFailure, run_round
 from trustsim.dst import (
     CREDIBILITY_CAP,
     MIN_NORMALISER,
-    BeliefTriple,
     MassFunction,
     TotalConflict,
     combine,
@@ -51,7 +50,7 @@ def reference_combine(a, b):
         + (a.distrust * b.uncertainty + a.uncertainty * b.distrust)
     ) / normaliser
     uncertainty = (a.uncertainty * b.uncertainty) / normaliser
-    return BeliefTriple(
+    return MassFunction(
         Probability(min(1.0, trust)),
         Probability(min(1.0, distrust)),
         Probability(min(1.0, uncertainty)),
@@ -71,7 +70,7 @@ def reference_renormalised(mass):
 
 def reference_combine_all(masses):
     first, *rest = masses
-    acc = BeliefTriple(first.trust, first.distrust, first.uncertainty)
+    acc = MassFunction(first.trust, first.distrust, first.uncertainty)
     for mass in rest:
         acc = reference_combine(
             reference_renormalised(MassFunction(acc.trust, acc.distrust, acc.uncertainty)), mass
@@ -231,10 +230,9 @@ def test_total_conflict_still_raised_by_the_float_fold():
     free_masses(),
     unit,
 )
-def test_batch_update_equals_sequential_updates(advisors, beliefs_mass, initial):
+def test_batch_update_equals_sequential_updates(advisors, beliefs, initial):
     # the credibility a recommendation was issued at need not be the ledger's
     # score any more; both updates read the ledger
-    beliefs = BeliefTriple(beliefs_mass.trust, beliefs_mass.distrust, beliefs_mass.uncertainty)
     batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
     recs = []
     for value, (verdict, score, issued_at) in enumerate(advisors):
@@ -272,10 +270,9 @@ tied_or_free = st.one_of(
     shared_scores,
 )
 @example([(T, 0.0), (T, -0.0), (N, -0.0)], MassFunction(0.5, 0.5, 0.0), 0.5)
-def test_batch_update_with_shared_scores_equals_sequential_updates(advisors, beliefs_mass, initial):
+def test_batch_update_with_shared_scores_equals_sequential_updates(advisors, beliefs, initial):
     # many responders share a handful of scores, as in a saturated round;
     # -0.0 and 0.0 are equal keys but must keep their own bits on a tie
-    beliefs = BeliefTriple(beliefs_mass.trust, beliefs_mass.distrust, beliefs_mass.uncertainty)
     batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
     recs = []
     for value, (verdict, score) in enumerate(advisors):
