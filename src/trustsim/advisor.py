@@ -191,19 +191,19 @@ def honest_responder(advisor: AdvisorState):
     return respond
 
 
-def save_dataset(dataset: AdvisorDataset, path: str | Path, delimiter: str = ",") -> None:
-    """Write the delimiter-separated dataset format: header of feature names
-    plus ``label``, one record per line, labels ``T``/``N``."""
+def save_dataset(dataset: AdvisorDataset, path: str | Path) -> None:
+    """Write the CSV dataset format: header of feature names plus ``label``,
+    one record per line, labels ``T``/``N``."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
+        writer = csv.writer(handle)
         writer.writerow(list(dataset.schema) + ["label"])
         for record in dataset.records:
             writer.writerow([repr(v) for v in record.features] + [record.label.value])
 
 
-def load_dataset(path: str | Path, delimiter: str = ",") -> AdvisorDataset:
+def load_dataset(path: str | Path) -> AdvisorDataset:
     with open(path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:

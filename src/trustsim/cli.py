@@ -20,6 +20,7 @@ from .advisor import save_dataset
 from .simulate import (
     ATTACK_KINDS,
     ConfigError,
+    SETTING_TYPES,
     ScenarioConfig,
     run_scenario,
     write_outputs,
@@ -29,34 +30,19 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# Config-file / flag keys and the ScenarioConfig fields they set.
-_CONFIG_KEYS = {
-    "seed": "seed",
-    "attack": "attack_kind",
-    "attacker_fraction": "attacker_fraction",
-    "advisors": "n_advisors",
-    "items": "n_items",
-    "iterations": "n_iterations",
-    "sybil_count": "sybil_count",
-    "switch_iteration": "switch_iteration",
-    "reset_period": "reset_period",
-    "participation_threshold": "participation_threshold",
-    "k_folds": "k_folds",
-    "noise": "noise",
-    "initial_credibility": "initial_credibility",
-    "initial_budget": "initial_budget",
-    "period_length": "period_length",
-    "max_depth": "max_depth",
-    "min_leaf": "min_leaf",
-    "records_per_advisor": "records_per_advisor",
-    "n_features": "n_features",
-    "ratings": "ratings_path",
+# The config keys that differ from the ScenarioConfig field they set. Every
+# other key is its field's name, and every flag is its key with - for _.
+_KEY_OF_FIELD = {
+    "attack_kind": "attack",
+    "n_advisors": "advisors",
+    "n_items": "items",
+    "n_iterations": "iterations",
+    "ratings_path": "ratings",
 }
-_KEY_OF_FIELD = {fieldname: key for key, fieldname in _CONFIG_KEYS.items()}
+_FIELD_OF_KEY = {_KEY_OF_FIELD.get(name, name): name for name in SETTING_TYPES}
 
-
-def _normalise_attack(value: str) -> str:
-    return "whitewashing" if value == "whitewash" else value
+# Characters that cannot appear in a file name, so not in an ingested user id.
+_PATH_CHARS = [c for c in (os.sep, os.altsep, "\0") if c]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,30 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one attack scenario")
     sim.add_argument("--config", type=Path, help="JSON config file; flags override it")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--attack", choices=list(ATTACK_KINDS) + ["whitewash"])
-    sim.add_argument("--attacker-fraction", type=float, dest="attacker_fraction")
-    sim.add_argument("--advisors", type=int)
-    sim.add_argument("--items", type=int)
-    sim.add_argument("--iterations", type=int)
-    sim.add_argument("--sybil-count", type=int, dest="sybil_count")
-    sim.add_argument("--switch-iteration", type=int, dest="switch_iteration")
-    sim.add_argument("--reset-period", type=int, dest="reset_period")
-    sim.add_argument(
-        "--participation-threshold", type=float, dest="participation_threshold"
-    )
-    sim.add_argument("--k-folds", type=int, dest="k_folds")
-    sim.add_argument("--noise", type=float)
-    sim.add_argument("--initial-credibility", type=float, dest="initial_credibility")
-    sim.add_argument("--initial-budget", type=int, dest="initial_budget")
-    sim.add_argument("--period-length", type=int, dest="period_length")
-    sim.add_argument("--max-depth", type=int, dest="max_depth")
-    sim.add_argument("--min-leaf", type=int, dest="min_leaf")
-    sim.add_argument(
-        "--records-per-advisor", type=int, dest="records_per_advisor"
-    )
-    sim.add_argument("--n-features", type=int, dest="n_features")
-    sim.add_argument("--ratings", help="ratings file to build the population from")
+    for key, name in _FIELD_OF_KEY.items():
+        flag = "--" + key.replace("_", "-")
+        if name == "attack_kind":
+            sim.add_argument(flag, choices=[*ATTACK_KINDS, "whitewash"])
+        else:
+            sim.add_argument(flag, type=SETTING_TYPES[name])
     sim.add_argument("--out", type=Path, help="output directory")
     sim.set_defaults(func=cmd_simulate)
 
@@ -121,21 +89,20 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
         for key, value in loaded.items():
             if key == "out":
                 continue
-            if key not in _CONFIG_KEYS:
+            if key not in _FIELD_OF_KEY:
                 raise ConfigError(key, "unknown configuration key")
-            merged[_CONFIG_KEYS[key]] = value
-    for key, fieldname in _CONFIG_KEYS.items():
-        value = getattr(args, key, None)
+            merged[_FIELD_OF_KEY[key]] = value
+    for key, name in _FIELD_OF_KEY.items():
+        value = getattr(args, key)
         if value is not None:
-            merged[fieldname] = value
+            merged[name] = value
     if "attack_kind" in merged:
-        merged["attack_kind"] = _normalise_attack(str(merged["attack_kind"]))
+        attack = str(merged["attack_kind"])
+        merged["attack_kind"] = "whitewashing" if attack == "whitewash" else attack
     if "seed" not in merged:
         raise ConfigError("seed", "a seed is required (flag --seed or config key)")
-    try:
-        config = ScenarioConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError("config", str(exc)) from exc
+    # every key of merged is a field, and seed is present
+    config = ScenarioConfig(**merged)
     try:
         config.validate()
     except ConfigError as exc:
@@ -185,6 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
         data = ingest_epinions(args.ratings)
+        for user in data.datasets:
+            if any(c in user for c in _PATH_CHARS):
+                raise IngestError(f"user id {user!r} cannot be part of a file name")
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -246,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -23,6 +23,9 @@ RATINGS_SCHEMA = ("mean_rating_others", "rating_count", "rating_variance")
 #: A user's own rating at or above this counts as a trustworthy interaction.
 SATISFACTION_CUTOFF = 4
 
+#: Ingestion aborts when more than this share of the non-blank lines is malformed.
+MAX_SKIP_RATIO = 0.1
+
 
 def ground_truth_trust(ratings: Sequence[int]) -> Probability:
     """Actual trust of an item: the fraction of its ratings at or above
@@ -101,22 +104,18 @@ def _variance(values: list[int]) -> float:
     return sum((v - mu) ** 2 for v in values) / len(values)
 
 
-def ingest_epinions(
-    ratings_path: str | Path,
-    *,
-    max_skip_ratio: float = 0.1,
-) -> EpinionsData:
+def ingest_epinions(ratings_path: str | Path) -> EpinionsData:
     """Parse a ratings file into advisor datasets and item ground truths.
 
     Malformed lines are counted and skipped; when they exceed
-    ``max_skip_ratio`` of the non-blank lines the whole ingestion aborts
+    :data:`MAX_SKIP_RATIO` of the non-blank lines the whole ingestion aborts
     rather than silently building on a broken file.
     """
     rows, skipped = _parse_ratings(ratings_path)
     total = len(rows) + skipped
     if total == 0 or not rows:
         raise IngestError(f"{ratings_path}: no usable ratings")
-    if skipped / total > max_skip_ratio:
+    if skipped / total > MAX_SKIP_RATIO:
         raise IngestError(
             f"{ratings_path}: {skipped} of {total} lines malformed, aborting"
         )

@@ -22,7 +22,8 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from types import NoneType
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .incentives import InquiryLedger
 
 ATTACK_KINDS = tuple(kind.value for kind in AttackKind)
 
+#: Ratings drawn per synthetic item to set its ground truth.
+RATERS_PER_ITEM = 12
+
 
 class ConfigError(ValueError):
     """A scenario configuration value is unusable; ``key`` names the culprit."""
@@ -57,24 +61,6 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
         self.key = key
         self.message = message
-
-
-# Integer fields of ScenarioConfig that must be at least 1.
-_COUNT_FIELDS = (
-    "n_advisors",
-    "sybil_count",
-    "switch_iteration",
-    "reset_period",
-    "n_items",
-    "n_iterations",
-    "k_folds",
-    "period_length",
-    "max_depth",
-    "min_leaf",
-    "records_per_advisor",
-    "n_features",
-)
-_FLOAT_FIELDS = ("attacker_fraction", "participation_threshold", "initial_credibility", "noise")
 
 
 @dataclass
@@ -105,19 +91,16 @@ class ScenarioConfig:
     ratings_path: str | None = None
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed", "an integer seed is required")
-        integers = _COUNT_FIELDS
-        if self.initial_budget is not None:
-            integers += ("initial_budget",)
-        for key in integers:
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(key, f"must be an integer, got {value!r}")
-        for key in _FLOAT_FIELDS:
-            value = getattr(self, key)
+        for name, kind in SETTING_TYPES.items():
+            value = getattr(self, name)
+            if kind is str or (value is None and NoneType in get_args(_HINTS[name])):
+                continue
+            if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(name, f"must be an integer, got {value!r}")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(key, f"must be a number, got {value!r}")
+                raise ConfigError(name, f"must be a number, got {value!r}")
+            if _HINTS[name] is int and name != "seed" and value < 1:
+                raise ConfigError(name, "must be at least 1")
         path = self.ratings_path
         if path is not None and not isinstance(path, (str, os.PathLike)):
             raise ConfigError("ratings_path", f"must be a file path, got {path!r}")
@@ -125,11 +108,10 @@ class ScenarioConfig:
             raise ConfigError(
                 "attack", f"must be one of {'|'.join(ATTACK_KINDS)}, got {self.attack_kind!r}"
             )
+        if self.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
         if not 0.0 <= self.attacker_fraction <= 1.0:
             raise ConfigError("attacker_fraction", "must lie in [0, 1]")
-        for key in _COUNT_FIELDS:
-            if getattr(self, key) < 1:
-                raise ConfigError(key, "must be at least 1")
         if self.k_folds < 2:
             raise ConfigError("k_folds", "must be at least 2 (cross-validation needs two folds)")
         if self.records_per_advisor < 2:
@@ -150,8 +132,16 @@ class ScenarioConfig:
             return self.initial_budget
         return self.n_items * self.n_iterations
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+def _setting_type(hint: object) -> type:
+    """``int``, ``float`` or ``str``: a setting's annotation with ``| None`` dropped."""
+    return next(t for t in get_args(hint) or (hint,) if t is not NoneType)
+
+
+_HINTS = get_type_hints(ScenarioConfig)
+#: Each setting's type, in field order, read from its ScenarioConfig annotation.
+#: ``validate`` checks values against it and ``cli`` builds its flags from it.
+SETTING_TYPES = {name: _setting_type(hint) for name, hint in _HINTS.items()}
 
 
 def mae(actual: float, estimated: float, n_advisors_consulted: int) -> float:
@@ -176,7 +166,6 @@ def synthesize_population(
     noise: float,
     n_features: int = 4,
     records_per_advisor: int = 60,
-    raters_per_item: int = 12,
 ) -> tuple[list[AdvisorDataset], list[ItemSpec]]:
     """Generate a desk-scale population with a known latent structure.
 
@@ -213,7 +202,7 @@ def synthesize_population(
     for _ in range(n_items):
         good = bool(rng.random() < 0.5)
         ratings = []
-        for _ in range(raters_per_item):
+        for _ in range(RATERS_PER_ITEM):
             satisfied = good if rng.random() >= noise else not good
             ratings.append(int(rng.integers(4, 6)) if satisfied else int(rng.integers(1, 4)))
         items.append(ItemSpec(feature_vector(good), float(ground_truth_trust(ratings))))
@@ -500,7 +489,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     (out / "per_item_mae.csv").write_text("\n".join(matrix_lines) + "\n")
 
     (out / "config.json").write_text(
-        json.dumps(config.as_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
     )
 
     if result.credibility_ledger is not None:

@@ -1,14 +1,34 @@
 import json
+from dataclasses import asdict, fields
+from typing import get_args, get_type_hints
 
 import pytest
 
+from trustsim import cli
 from trustsim.cli import main
+from trustsim.simulate import ScenarioConfig
 
 FAST = [
     "--advisors", "6",
     "--items", "3",
     "--iterations", "4",
     "--records-per-advisor", "24",
+]
+
+
+# The config keys that are not their field's name; a flag is its key with - for _.
+RENAMED_KEYS = {
+    "attack_kind": "attack",
+    "n_advisors": "advisors",
+    "n_items": "items",
+    "n_iterations": "iterations",
+    "ratings_path": "ratings",
+}
+# Every ScenarioConfig field annotated int or float (optionally | None).
+NUMERIC_KEYS = [
+    RENAMED_KEYS.get(name, name)
+    for name, hint in get_type_hints(ScenarioConfig).items()
+    if {int, float} & {hint, *get_args(hint)}
 ]
 
 
@@ -134,6 +154,12 @@ def test_invalid_value_exits_2(tmp_path, capsys):
         ("attacker_fraction", "0.3"),
         ("noise", False),
         ("ratings", 5),
+    ]
+    + [
+        (key, value)
+        for key in NUMERIC_KEYS
+        for value in (True, "1")
+        if (key, value) != ("iterations", True)  # listed above
     ],
 )
 def test_mistyped_config_value_exits_2_and_names_it(tmp_path, capsys, key, value):
@@ -143,6 +169,94 @@ def test_mistyped_config_value_exits_2_and_names_it(tmp_path, capsys, key, value
     code = run_cli("simulate", "--config", str(config), "--out", str(out))
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: must be")
+    assert not out.exists()
+
+
+def _ratings_file(path):
+    path.write_text("".join(f"u{u} i{i} {1 + (u + i) % 5}\n" for u in range(5) for i in range(3)))
+    return str(path)
+
+
+# A valid value for each setting that differs from its default and from SMALL.
+SETTING_SAMPLES = {
+    "seed": 3,
+    "n_advisors": 4,
+    "attacker_fraction": 0.5,
+    "attack_kind": "sybil",
+    "sybil_count": 2,
+    "switch_iteration": 2,
+    "reset_period": 2,
+    "n_items": 2,
+    "n_iterations": 2,
+    "participation_threshold": 0.6,
+    "max_depth": 3,
+    "min_leaf": 1,
+    "k_folds": 3,
+    "initial_credibility": 0.4,
+    "initial_budget": 7,
+    "period_length": 2,
+    "noise": 0.2,
+    "records_per_advisor": 9,
+    "n_features": 3,
+    "ratings_path": "RATINGS",  # replaced by a ratings file the test writes
+}
+SMALL = {"seed": 1, "n_advisors": 3, "n_items": 1, "n_iterations": 1,
+         "records_per_advisor": 8, "k_folds": 2}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+def test_every_setting_reaches_the_run(tmp_path, monkeypatch, name, via):
+    value = SETTING_SAMPLES[name]
+    if value == "RATINGS":
+        value = _ratings_file(tmp_path / "ratings.txt")
+    settings = {**SMALL, name: value}
+    seen = []
+    run_scenario = cli.run_scenario
+
+    def recording_run(config, trace=None):
+        seen.append(config)
+        return run_scenario(config, trace=trace)
+
+    monkeypatch.setattr(cli, "run_scenario", recording_run)
+    keyed = {RENAMED_KEYS.get(n, n): v for n, v in settings.items()}
+    out = tmp_path / "run"
+    if via == "flag":
+        argv = [a for k, v in keyed.items() for a in ("--" + k.replace("_", "-"), str(v))]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(keyed))
+        argv = ["--config", str(config)]
+    assert run_cli("simulate", *argv, "--out", str(out)) == 0
+    (effective,) = seen
+    assert getattr(effective, name) == value
+    assert type(getattr(effective, name)) is type(value)
+    written = json.loads((out / "config.json").read_text())
+    assert written == asdict(effective)
+    assert written[name] == value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1"],
+        ["--seed", "-2", "--ratings", "RATINGS"],
+        ["--config", "CONFIG"],
+    ],
+    ids=["flag", "ratings", "config"],
+)
+def test_negative_seed_exits_2_and_names_it(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -3}))
+    ratings = _ratings_file(tmp_path / "ratings.txt")
+    argv = [{"RATINGS": ratings, "CONFIG": str(config)}.get(a, a) for a in argv]
+    out = tmp_path / "x"
+    code = run_cli(
+        "simulate", *argv, "--advisors", "4", "--items", "2", "--iterations", "1",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed: must be nonnegative\n"
     assert not out.exists()
 
 
@@ -217,6 +331,27 @@ def test_ingest_counts_malformed(tmp_path, capsys):
     code = run_cli("ingest", "--ratings", str(ratings), "--out", str(tmp_path / "o"))
     assert code == 0
     assert "1 skipped" in capsys.readouterr().out
+
+
+def test_ingest_rejects_user_id_with_path_separator_before_writing(tmp_path, capsys):
+    ratings = tmp_path / "ratings.txt"
+    ratings.write_text("u1 i1 5\na/b i1 4\nu2 i1 2\n")
+    out = tmp_path / "ingested"
+    code = run_cli("ingest", "--ratings", str(ratings), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == "error: user id 'a/b' cannot be part of a file name\n"
+    assert not out.exists()
+
+
+def test_simulate_accepts_user_id_with_path_separator(tmp_path):
+    ratings = tmp_path / "ratings.txt"
+    ratings.write_text("".join(f"a/{u} i{i} {1 + (u * i) % 5}\n" for u in range(4) for i in range(3)))
+    out = tmp_path / "run"
+    code = run_cli(
+        "simulate", "--seed", "1", "--ratings", str(ratings), "--advisors", "3",
+        "--items", "2", "--iterations", "1", "--k-folds", "2", "--out", str(out),
+    )
+    assert code == 0
 
 
 def test_ingest_missing_file_exits_2(tmp_path):
