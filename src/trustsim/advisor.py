@@ -101,6 +101,42 @@ def cv_folds(n_records: int, k: int, seed: int | None = None) -> list[list[int]]
     return folds
 
 
+def _cross_validate(
+    dataset: AdvisorDataset, k: int, threshold: float, resource_flag: bool, seed: int | None,
+    max_depth: int, min_leaf: int, with_full_tree: bool,
+) -> tuple[list[DecisionTree], SelfAssessment]:
+    """:func:`self_assess`, and with ``with_full_tree`` also a list holding the tree
+    on every record; that tree and the fold trees grow in one ``fit_many`` call."""
+    n = len(dataset)
+    if n == 0:
+        raise EmptyDataset("advisor has no interaction records")
+    if n < 2:
+        raise ValueError("cross-validation needs at least two records")
+    if k < 2:
+        raise ValueError("cross-validation needs at least two folds")
+    effective_k = min(k, n)
+    values, labels = dataset.to_arrays()
+    folds = cv_folds(n, effective_k, seed)
+    lead = int(with_full_tree)
+    row_sets = [np.arange(n)] * lead
+    for fold in folds:
+        held = np.zeros(n, dtype=bool)
+        held[fold] = True
+        row_sets.append(np.flatnonzero(~held))
+    models = fit_many(values, labels, row_sets, max_depth=max_depth, min_leaf=min_leaf)
+    fold_accuracies: list[float] = []
+    for fold, model in zip(folds, models[lead:]):
+        hits = 0
+        for index in fold:
+            wanted = Verdict.TRUSTWORTHY if labels[index] else Verdict.UNTRUSTWORTHY
+            if predict(model, values[index]) is wanted:
+                hits += 1
+        fold_accuracies.append(hits / len(fold))
+    accuracy = Probability(sum(fold_accuracies) / effective_k)
+    participate = bool(resource_flag and accuracy >= threshold)
+    return models[:lead], SelfAssessment(accuracy, effective_k, participate)
+
+
 def self_assess(
     dataset: AdvisorDataset,
     k: int = 10,
@@ -119,33 +155,9 @@ def self_assess(
     accuracy threshold and ``resource_flag``; an advisor that cannot spare the
     resources withdraws regardless of how good its data is.
     """
-    n = len(dataset)
-    if n == 0:
-        raise EmptyDataset("advisor has no interaction records")
-    if n < 2:
-        raise ValueError("cross-validation needs at least two records")
-    if k < 2:
-        raise ValueError("cross-validation needs at least two folds")
-    effective_k = min(k, n)
-    values, labels = dataset.to_arrays()
-    folds = cv_folds(n, effective_k, seed)
-    training_sets = []
-    for fold in folds:
-        held = np.zeros(n, dtype=bool)
-        held[fold] = True
-        training_sets.append(np.flatnonzero(~held))
-    models = fit_many(values, labels, training_sets, max_depth=max_depth, min_leaf=min_leaf)
-    fold_accuracies: list[float] = []
-    for fold, model in zip(folds, models):
-        hits = 0
-        for index in fold:
-            wanted = Verdict.TRUSTWORTHY if labels[index] else Verdict.UNTRUSTWORTHY
-            if predict(model, values[index]) is wanted:
-                hits += 1
-        fold_accuracies.append(hits / len(fold))
-    accuracy = Probability(sum(fold_accuracies) / effective_k)
-    participate = bool(resource_flag and accuracy >= threshold)
-    return SelfAssessment(accuracy, effective_k, participate)
+    return _cross_validate(
+        dataset, k, threshold, resource_flag, seed, max_depth, min_leaf, with_full_tree=False
+    )[1]
 
 
 def build_advisor(
@@ -159,16 +171,10 @@ def build_advisor(
     max_depth: int = 8,
     min_leaf: int = 2,
 ) -> AdvisorState:
-    """Train, self-assess, and bundle the result into an advisor state."""
-    model = train_tree(dataset, max_depth=max_depth, min_leaf=min_leaf)
-    assessment = self_assess(
-        dataset,
-        k,
-        threshold,
-        resource_flag,
-        seed=seed,
-        max_depth=max_depth,
-        min_leaf=min_leaf,
+    """Train, self-assess, and bundle the result into an advisor state: the
+    ``train_tree`` tree and the ``self_assess`` result, from one ``fit_many`` call."""
+    (model,), assessment = _cross_validate(
+        dataset, k, threshold, resource_flag, seed, max_depth, min_leaf, with_full_tree=True
     )
     return AdvisorState(identity, model, assessment)
 

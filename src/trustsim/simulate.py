@@ -177,6 +177,11 @@ def synthesize_population(
     """
     if not 0.0 <= noise < 0.5:
         raise ValueError("noise must lie in [0, 0.5)")
+    for name, n in (("n_advisors", n_advisors), ("n_items", n_items), ("n_features", n_features)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if records_per_advisor < 2:
+        raise ValueError("records_per_advisor must be at least 2 (cross-validation needs two)")
     rng = np.random.default_rng(seed)
     schema = tuple(f"f{i}" for i in range(n_features))
 
@@ -186,16 +191,14 @@ def synthesize_population(
 
     datasets = []
     for _ in range(n_advisors):
-        records = []
-        for _ in range(records_per_advisor):
-            good = bool(rng.random() < 0.5)
-            observed = good if rng.random() >= noise else not good
-            records.append(
-                InteractionRecord(
-                    feature_vector(good),
-                    Verdict.TRUSTWORTHY if observed else Verdict.UNTRUSTWORTHY,
-                )
-            )
+        # Per record: class test, label-noise test, features as rng.uniform computes them.
+        draw = rng.random((records_per_advisor, 2 + n_features))
+        good = draw[:, 0] < 0.5
+        observed = good == (draw[:, 1] >= noise)
+        low = np.where(good, 0.55, 0.05)[:, None]
+        features = low + ((low + 0.4) - low) * draw[:, 2:]
+        verdicts = [Verdict.TRUSTWORTHY if kept else Verdict.UNTRUSTWORTHY for kept in observed]
+        records = list(map(InteractionRecord, map(tuple, features.tolist()), verdicts))
         datasets.append(AdvisorDataset(schema, records))
 
     items = []

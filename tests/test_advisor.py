@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trustsim import advisor
 from trustsim.advisor import (
     AdvisorDataset,
     InteractionRecord,
@@ -171,3 +175,77 @@ def test_load_dataset_rejects_missing_label_column(tmp_path):
     path.write_text("a,b\n0.5,0.6\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+# ---------------------------------------------------------------------------
+# one-pass build
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    d=st.integers(1, 5),
+    decimals=st.integers(0, 2),
+    k=st.integers(2, 12),
+    max_depth=st.integers(1, 8),
+    min_leaf=st.integers(1, 4),
+    data_seed=st.integers(0, 2**32 - 1),
+    fold_seed=st.integers(0, 2**16),
+)
+def test_build_advisor_equals_train_tree_and_self_assess(
+    n, d, decimals, k, max_depth, min_leaf, data_seed, fold_seed
+):
+    # rounded values repeat, so split candidates tie
+    rng = np.random.default_rng(data_seed)
+    values = np.round(rng.random((n, d)), decimals)
+    labels = rng.random(n) < 0.5
+    data = dataset_from([(tuple(row), T if y else N) for row, y in zip(values.tolist(), labels)])
+    grow = dict(max_depth=max_depth, min_leaf=min_leaf)
+    built = build_advisor(AgentId(1), data, k=k, seed=fold_seed, **grow)
+    assert built.tree == train_tree(data, **grow)
+    assert built.assessment == self_assess(data, k, seed=fold_seed, **grow)
+    assert built.assessment.folds == min(k, n)
+
+
+def test_build_advisor_converts_and_fits_once(monkeypatch):
+    calls = []
+    to_arrays, fit_many = AdvisorDataset.to_arrays, advisor.fit_many
+
+    def counted_to_arrays(self):
+        calls.append("to_arrays")
+        return to_arrays(self)
+
+    def counted_fit_many(values, labels, row_sets, **grow):
+        calls.append(len(row_sets))
+        return fit_many(values, labels, row_sets, **grow)
+
+    monkeypatch.setattr(AdvisorDataset, "to_arrays", counted_to_arrays)
+    monkeypatch.setattr(advisor, "fit_many", counted_fit_many)
+    monkeypatch.setattr(advisor, "fit", None)
+    build_advisor(AgentId(1), separable_dataset(30), k=7, seed=0)
+    assert calls == ["to_arrays", 1 + 7]
+
+
+def test_build_advisor_on_empty_dataset():
+    with pytest.raises(EmptyDataset, match="^advisor has no interaction records$"):
+        build_advisor(AgentId(1), AdvisorDataset(("a",), []), k=1)
+
+
+def test_build_advisor_needs_two_records():
+    tiny = dataset_from([((0.1, 0.1), T)])
+    with pytest.raises(ValueError, match="^cross-validation needs at least two records$"):
+        build_advisor(AgentId(1), tiny, k=1)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_build_advisor_needs_two_folds(k):
+    with pytest.raises(ValueError, match="^cross-validation needs at least two folds$"):
+        build_advisor(AgentId(1), separable_dataset(10), k=k)
+
+
+def test_build_advisor_falls_back_to_leave_one_out():
+    data = separable_dataset(6)
+    built = build_advisor(AgentId(1), data, k=10, seed=0)
+    assert built.assessment.folds == 6
+    assert built.assessment == self_assess(data, k=6, seed=0)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _populationpy
 from trustsim.advisor import self_assess
 from trustsim.simulate import (
     ConfigError,
@@ -79,6 +82,48 @@ def test_item_ground_truth_tracks_noise():
     for item in items:
         assert item.ground_truth >= 0.5 or item.ground_truth <= 0.5  # in [0, 1]
         assert min(item.ground_truth, 1.0 - item.ground_truth) <= 0.35
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_advisors=st.integers(1, 4),
+    n_items=st.integers(1, 4),
+    n_features=st.integers(1, 6),
+    records_per_advisor=st.integers(2, 80),
+    noise=st.sampled_from([0.0, 0.1, 0.49]),
+)
+def test_synthesize_matches_per_record_oracle(
+    seed, n_advisors, n_items, n_features, records_per_advisor, noise
+):
+    args = (seed, n_advisors, n_items, noise, n_features, records_per_advisor)
+    datasets, items = synthesize_population(*args)
+    want_datasets, want_items = _populationpy.synthesize_population(*args)
+    assert datasets == want_datasets
+    assert items == want_items
+    for got, want in zip(datasets, want_datasets):
+        got_values, got_labels = got.to_arrays()
+        want_values, want_labels = want.to_arrays()
+        assert np.array_equal(got_values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(got_labels, want_labels)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_advisors", 0),
+        ("n_advisors", -2),
+        ("n_items", 0),
+        ("n_features", 0),
+        ("n_features", -1),
+        ("records_per_advisor", 1),
+        ("records_per_advisor", 0),
+    ],
+)
+def test_synthesize_rejects_unusable_sizes(name, value):
+    sizes = {"n_advisors": 3, "n_items": 2, "n_features": 4, "records_per_advisor": 10}
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        synthesize_population(1, noise=0.1, **{**sizes, name: value})
 
 
 # ---------------------------------------------------------------------------
