@@ -20,6 +20,7 @@ from .advisor import save_dataset
 from .simulate import (
     ATTACK_KINDS,
     ConfigError,
+    KEY_OF_FIELD,
     SETTING_TYPES,
     ScenarioConfig,
     run_scenario,
@@ -30,16 +31,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# The config keys that differ from the ScenarioConfig field they set. Every
-# other key is its field's name, and every flag is its key with - for _.
-_KEY_OF_FIELD = {
-    "attack_kind": "attack",
-    "n_advisors": "advisors",
-    "n_items": "items",
-    "n_iterations": "iterations",
-    "ratings_path": "ratings",
-}
-_FIELD_OF_KEY = {_KEY_OF_FIELD.get(name, name): name for name in SETTING_TYPES}
+# Every setting's config key, and so its flag: the key with - for _.
+_FIELD_OF_KEY = {KEY_OF_FIELD.get(name, name): name for name in SETTING_TYPES}
 
 # Characters that cannot appear in a file name, so not in an ingested user id.
 _PATH_CHARS = [c for c in (os.sep, os.altsep, "\0") if c]
@@ -87,8 +80,6 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
         if not isinstance(loaded, dict):
             raise ConfigError("config", "config file must hold a JSON object")
         for key, value in loaded.items():
-            if key == "out":
-                continue
             if key not in _FIELD_OF_KEY:
                 raise ConfigError(key, "unknown configuration key")
             merged[_FIELD_OF_KEY[key]] = value
@@ -107,7 +98,7 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
         config.validate()
     except ConfigError as exc:
         # name the key as the user wrote it, not the field it sets
-        raise ConfigError(_KEY_OF_FIELD.get(exc.key, exc.key), exc.message) from None
+        raise ConfigError(KEY_OF_FIELD.get(exc.key, exc.key), exc.message) from None
     return config
 
 

@@ -96,7 +96,7 @@ class Recommendation:
         verdict: Verdict,
         credibility_at_issue: float,
     ) -> None:
-        if advisor.value == subject.value:
+        if advisor == subject:
             raise ValueError("an agent cannot recommend itself")
         # A round builds one per responder: a single write of the instance
         # dict costs half of what the frozen init's four setattr calls do.

@@ -38,18 +38,14 @@ def _settled_score(score: float, said_trust: bool, trust: float, distrust: float
 
 
 class CredibilityLedger:
-    """Single-writer map from advisor identity to credibility score.
-
-    Scores are keyed by ``AgentId.value``; :meth:`as_map` hands them back
-    keyed by a plain ``AgentId`` of that value.
-    """
+    """Single-writer map from advisor identity to credibility score."""
 
     def __init__(self, initial_score: float = 0.5) -> None:
         self.initial_score = Probability(initial_score)
-        self._scores: dict[int, Probability] = {}
+        self._scores: dict[AgentId, Probability] = {}
 
     def __contains__(self, agent: AgentId) -> bool:
-        return agent.value in self._scores
+        return agent in self._scores
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -60,16 +56,16 @@ class CredibilityLedger:
         Lookups never mutate the ledger, so asking about a newcomer leaves no
         trace.
         """
-        return self._scores.get(agent.value, self.initial_score)
+        return self._scores.get(agent, self.initial_score)
 
     def set(self, agent: AgentId, score: float) -> None:
-        self._scores[agent.value] = Probability(score)
+        self._scores[agent] = Probability(score)
 
     def drop(self, agent: AgentId) -> None:
-        self._scores.pop(agent.value, None)
+        self._scores.pop(agent, None)
 
     def as_map(self) -> dict[AgentId, Probability]:
-        return {AgentId(value): score for value, score in self._scores.items()}
+        return dict(self._scores)
 
     def update(self, advisor: AgentId, given: Verdict, beliefs: MassFunction) -> Probability:
         """Apply one convergence/divergence update and return the new score."""
@@ -81,7 +77,7 @@ class CredibilityLedger:
                 float(beliefs.distrust),
             )
         )
-        self._scores[advisor.value] = result
+        self._scores[advisor] = result
         return result
 
     def batch_update(self, recommendations: Iterable, beliefs: MassFunction) -> None:
@@ -100,21 +96,21 @@ class CredibilityLedger:
         so it settles nothing.
         """
         recs = list(recommendations)
-        if len({rec.subject.value for rec in recs}) > 1:
+        if len({rec.subject for rec in recs}) > 1:
             raise ValueError("one batch must target a single subject")
-        seen: set[int] = set()
+        seen: set[AgentId] = set()
         for rec in recs:
-            if rec.advisor.value in seen:
+            if rec.advisor in seen:
                 raise DuplicateRecommendation(
                     f"advisor {rec.advisor.value} answered twice in one round"
                 )
-            seen.add(rec.advisor.value)
+            seen.add(rec.advisor)
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
         scores, initial = self._scores, self.initial_score
         settled: dict[tuple[float, bool], Probability] = {}
         for rec in recs:
-            value = rec.advisor.value
-            score = scores.get(value, initial)
+            advisor = rec.advisor
+            score = scores.get(advisor, initial)
             if trust != distrust:
                 said_trust = rec.verdict is Verdict.TRUSTWORTHY
                 key = (score, said_trust)
@@ -124,13 +120,13 @@ class CredibilityLedger:
                         _settled_score(score, said_trust, trust, distrust)
                     )
                 score = new
-            scores[value] = score
+            scores[advisor] = score
 
     def save(self, path: str | Path) -> None:
         """Write a flat two-column snapshot (agent id, score)."""
         lines = ["agent_id\tscore"]
-        for value in sorted(self._scores):
-            lines.append(f"{value}\t{self._scores[value]!r}")
+        for agent in sorted(self._scores):
+            lines.append(f"{agent.value}\t{self._scores[agent]!r}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod

@@ -45,12 +45,12 @@ class RecommendationRequest:
     eligible: tuple[AgentId, ...]
 
     def __post_init__(self) -> None:
-        eligible = {advisor.value for advisor in self.eligible}
+        eligible = set(self.eligible)
         if len(eligible) != len(self.eligible):
             raise ValueError("an advisor is listed twice among the eligible")
-        if self.subject.value in eligible:
+        if self.subject in eligible:
             raise ValueError("the subject cannot advise on itself")
-        if self.requester.value in eligible:
+        if self.requester in eligible:
             raise ValueError("the requester cannot advise itself")
 
 

@@ -18,9 +18,6 @@ from .core import AgentId, Probability
 
 Pair = tuple[AgentId, AgentId]
 
-# A pair as the ledger keys it: (AgentId.value, AgentId.value).
-_Key = tuple[int, int]
-
 
 class BudgetExhausted(RuntimeError):
     """The asker has no inquiries left toward this provider."""
@@ -33,22 +30,21 @@ class InquiryLedger:
     may put to provider. ``answered`` is keyed by (answerer, requester): how
     many of requester's inquiries answerer served since the last payout. Both
     sides of a pair key use the same ordering, so the pair that answers a lot
-    is the pair whose budget to ask back grows. Pairs are keyed by the ids'
-    ``value``; nothing the ledger hands back needs the identities themselves.
+    is the pair whose budget to ask back grows.
     """
 
     def __init__(self, initial_budget: int = 10) -> None:
         if initial_budget < 0:
             raise ValueError("initial budget must be nonnegative")
         self.initial_budget = int(initial_budget)
-        self._budget: dict[_Key, int] = {}
-        self._answered: dict[_Key, int] = {}
+        self._budget: dict[Pair, int] = {}
+        self._answered: dict[Pair, int] = {}
 
     def budget(self, asker: AgentId, provider: AgentId) -> int:
-        return self._budget.get((asker.value, provider.value), self.initial_budget)
+        return self._budget.get((asker, provider), self.initial_budget)
 
     def answered(self, answerer: AgentId, requester: AgentId) -> int:
-        return self._answered.get((answerer.value, requester.value), 0)
+        return self._answered.get((answerer, requester), 0)
 
     def consume(self, asker: AgentId, provider: AgentId) -> int:
         """Spend one inquiry; returns the remaining budget.
@@ -56,7 +52,7 @@ class InquiryLedger:
         A zero budget raises :class:`BudgetExhausted`, which callers treat as
         "cannot ask this advisor right now".
         """
-        key = (asker.value, provider.value)
+        key = (asker, provider)
         remaining = self._budget.get(key, self.initial_budget)
         if remaining <= 0:
             raise BudgetExhausted(
@@ -67,7 +63,7 @@ class InquiryLedger:
         return remaining
 
     def record_answer(self, answerer: AgentId, requester: AgentId) -> int:
-        key = (answerer.value, requester.value)
+        key = (answerer, requester)
         count = self._answered.get(key, 0) + 1
         self._answered[key] = count
         return count
@@ -88,31 +84,28 @@ class InquiryLedger:
         """
         if pairs is not None:
             for asker, provider in pairs:
-                self._budget.setdefault((asker.value, provider.value), self.initial_budget)
-        by_value = {agent.value: score for agent, score in credibility.items()}
+                self._budget.setdefault((asker, provider), self.initial_budget)
         keys = list(self._budget)
         keys.extend(k for k in self._answered if k not in self._budget)
         for key in keys:
-            answerer, requester = key
+            answerer = key[0]
             served = self._answered.get(key, 0)
-            cred = float(Probability(by_value.get(answerer, default_credibility)))
+            cred = float(Probability(credibility.get(answerer, default_credibility)))
             gain = served + math.ceil(served * cred) + 1
             self._budget[key] = self._budget.get(key, self.initial_budget) + gain
         self._answered.clear()
 
     def drop_agent(self, agent: AgentId) -> None:
         """Forget every pair involving ``agent`` (identity retirements)."""
-        value = agent.value
-        self._budget = {k: v for k, v in self._budget.items() if value not in k}
-        self._answered = {k: v for k, v in self._answered.items() if value not in k}
+        self._budget = {k: v for k, v in self._budget.items() if agent not in k}
+        self._answered = {k: v for k, v in self._answered.items() if agent not in k}
 
     def save(self, path: str | Path) -> None:
         """Flat three-column snapshot of budgets and open answer tallies."""
         lines = ["kind\tfrom\tto\tcount"]
-        for (a, b) in sorted(self._budget):
-            lines.append(f"budget\t{a}\t{b}\t{self._budget[(a, b)]}")
-        for (a, b) in sorted(self._answered):
-            lines.append(f"answered\t{a}\t{b}\t{self._answered[(a, b)]}")
+        for kind, counts in (("budget", self._budget), ("answered", self._answered)):
+            for a, b in sorted(counts):
+                lines.append(f"{kind}\t{a.value}\t{b.value}\t{counts[(a, b)]}")
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -122,7 +115,7 @@ class InquiryLedger:
             if not line.strip():
                 continue
             kind, raw_a, raw_b, raw_count = line.split("\t")
-            key = (int(raw_a), int(raw_b))
+            key = (AgentId(int(raw_a)), AgentId(int(raw_b)))
             if kind == "budget":
                 ledger._budget[key] = int(raw_count)
             elif kind == "answered":

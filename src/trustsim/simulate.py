@@ -20,7 +20,7 @@ import json
 import math
 import os
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import NoneType
 from typing import Callable, get_args, get_type_hints
@@ -142,6 +142,16 @@ _HINTS = get_type_hints(ScenarioConfig)
 #: Each setting's type, in field order, read from its ScenarioConfig annotation.
 #: ``validate`` checks values against it and ``cli`` builds its flags from it.
 SETTING_TYPES = {name: _setting_type(hint) for name, hint in _HINTS.items()}
+#: The config keys that differ from the setting they set. Every other key is
+#: its setting's name; ``cli`` makes each key a flag, and ``write_outputs``
+#: echoes ``config.json`` under the keys, so ``--config`` reads it back.
+KEY_OF_FIELD = {
+    "attack_kind": "attack",
+    "n_advisors": "advisors",
+    "n_items": "items",
+    "n_iterations": "iterations",
+    "ratings_path": "ratings",
+}
 
 
 def mae(actual: float, estimated: float, n_advisors_consulted: int) -> float:
@@ -185,10 +195,6 @@ def synthesize_population(
     rng = np.random.default_rng(seed)
     schema = tuple(f"f{i}" for i in range(n_features))
 
-    def feature_vector(good: bool) -> tuple[float, ...]:
-        low = 0.55 if good else 0.05
-        return tuple(float(v) for v in rng.uniform(low, low + 0.4, n_features))
-
     datasets = []
     for _ in range(n_advisors):
         # Per record: class test, label-noise test, features as rng.uniform computes them.
@@ -208,7 +214,9 @@ def synthesize_population(
         for _ in range(RATERS_PER_ITEM):
             satisfied = good if rng.random() >= noise else not good
             ratings.append(int(rng.integers(4, 6)) if satisfied else int(rng.integers(1, 4)))
-        items.append(ItemSpec(feature_vector(good), float(ground_truth_trust(ratings))))
+        low = 0.55 if good else 0.05
+        features = low + ((low + 0.4) - low) * rng.random(n_features)
+        items.append(ItemSpec(tuple(features.tolist()), float(ground_truth_trust(ratings))))
     return datasets, items
 
 
@@ -259,10 +267,10 @@ class ScenarioResult:
     attacker_credibility: list[float]
     honest_credibility: list[float]
     skipped_cells: int
-    retired_identities: list[AgentId] = field(default_factory=list)
-    final_identities: list[AgentId] = field(default_factory=list)
-    credibility_ledger: CredibilityLedger | None = None
-    inquiry_ledger: InquiryLedger | None = None
+    retired_identities: list[AgentId]
+    final_identities: list[AgentId]
+    credibility_ledger: CredibilityLedger
+    inquiry_ledger: InquiryLedger
 
 
 def _responder_for(
@@ -275,11 +283,8 @@ def _responder_for(
     return inverting_responder(agent.state)
 
 
-def _nanmean(values: list[float]) -> float:
-    usable = [v for v in values if not math.isnan(v)]
-    if not usable:
-        return math.nan
-    return sum(usable) / len(usable)
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else math.nan
 
 
 def _annotated_trace(trace: Callable[[dict], None], iteration: int, item: int):
@@ -397,27 +402,20 @@ def run_scenario(
                 credibility.as_map(), default_credibility=config.initial_credibility
             )
 
-        # an ordered set: new trajectories start in issuance order (ascending id)
-        live = dict.fromkeys(agent.state.identity for agent in agents)
-        for identity in live:
+        # in agent order, so new trajectories start in issuance order (ascending id)
+        scores = {
+            agent.state.identity: float(credibility.get(agent.state.identity))
+            for agent in agents
+        }
+        for identity in scores:
             if identity not in trajectories:
                 trajectories[identity] = [math.nan] * (iteration - 1)
         for identity, series in trajectories.items():
-            series.append(float(credibility.get(identity)) if identity in live else math.nan)
-        attacker_series.append(
-            _nanmean(
-                [float(credibility.get(a.state.identity)) for a in agents if a.is_attacker]
-            )
-        )
-        honest_series.append(
-            _nanmean(
-                [
-                    float(credibility.get(a.state.identity))
-                    for a in agents
-                    if not a.is_attacker
-                ]
-            )
-        )
+            series.append(scores.get(identity, math.nan))
+        attackers = [scores[a.state.identity] for a in agents if a.is_attacker]
+        honest = [scores[a.state.identity] for a in agents if not a.is_attacker]
+        attacker_series.append(_mean(attackers))
+        honest_series.append(_mean(honest))
 
     per_iteration = [
         (t + 1, float(np.nanmean(per_item_mae[:, t])) if not np.all(np.isnan(per_item_mae[:, t])) else math.nan)
@@ -448,8 +446,6 @@ def run_scenario(
 
 
 def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
     return format(value, ".10g")
 
 
@@ -491,11 +487,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         matrix_lines.append(f"{index},{cells}")
     (out / "per_item_mae.csv").write_text("\n".join(matrix_lines) + "\n")
 
-    (out / "config.json").write_text(
-        json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
-    )
-
-    if result.credibility_ledger is not None:
-        result.credibility_ledger.save(out / "credibility.tsv")
-    if result.inquiry_ledger is not None:
-        result.inquiry_ledger.save(out / "inquiries.tsv")
+    settings = {KEY_OF_FIELD.get(name, name): value for name, value in asdict(config).items()}
+    (out / "config.json").write_text(json.dumps(settings, indent=2, sort_keys=True) + "\n")
+    result.credibility_ledger.save(out / "credibility.tsv")
+    result.inquiry_ledger.save(out / "inquiries.tsv")

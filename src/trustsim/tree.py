@@ -54,8 +54,6 @@ class Split:
 class DecisionTree:
     root: Leaf | Split
     n_features: int
-    max_depth: int
-    min_leaf: int
     #: Verdicts already given, by the feature tuple asked about (see
     #: :func:`recalled`). A cache, not part of the tree's value, and never
     #: passed on: ``dataclasses.replace`` gives the new tree an empty one.
@@ -308,7 +306,7 @@ def fit_many(values, labels, row_sets, max_depth: int = 8, min_leaf: int = 2) ->
     if not sets:
         return []
     roots = _grow(values, labels, sets, max_depth, min_leaf)
-    return [DecisionTree(root, int(values.shape[1]), max_depth, min_leaf) for root in roots]
+    return [DecisionTree(root, int(values.shape[1])) for root in roots]
 
 
 def fit(values, labels, max_depth: int = 8, min_leaf: int = 2) -> DecisionTree:

@@ -96,4 +96,4 @@ def fit(values, labels, max_depth: int = 8, min_leaf: int = 2) -> DecisionTree:
     values = np.ascontiguousarray(values, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
     root = _grow(values, labels, 0, max_depth, min_leaf)
-    return DecisionTree(root, int(values.shape[1]), max_depth, min_leaf)
+    return DecisionTree(root, int(values.shape[1]))

@@ -61,7 +61,7 @@ def test_simulate_smoke_writes_all_artifacts(tmp_path):
         assert (out / name).exists(), name
     config = json.loads((out / "config.json").read_text())
     assert config["seed"] == 42
-    assert config["attack_kind"] == "sybil"
+    assert config["attack"] == "sybil"
 
 
 def test_simulate_series_has_one_row_per_iteration(tmp_path):
@@ -100,6 +100,50 @@ def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == f"error: {key}: unknown configuration key\n"
         assert not out.exists()
+
+
+def test_out_config_key_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the output directory is a flag of the command, not a scenario setting
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "advisors": 4, "out": "r3"}))
+    code = run_cli("simulate", "--config", str(config))
+    assert code == 2
+    assert capsys.readouterr().err == "error: out: unknown configuration key\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+RUN_FILES = (
+    "summary.txt",
+    "summary.json",
+    "series.csv",
+    "per_item_mae.csv",
+    "credibility.tsv",
+    "inquiries.tsv",
+    "trace.jsonl",
+    "config.json",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "3", "--advisors", "6", "--items", "3", "--iterations", "2",
+         "--records-per-advisor", "20"],
+        ["--attack", "whitewash", "--seed", "9", "--reset-period", "1", "--k-folds", "3",
+         "--advisors", "4", "--items", "2", "--iterations", "3", "--initial-budget", "2",
+         "--ratings", "RATINGS"],
+    ],
+    ids=["synthetic", "ratings"],
+)
+def test_config_json_reruns_its_run(tmp_path, argv):
+    ratings = _ratings_file(tmp_path / "ratings.txt")
+    argv = [ratings if a == "RATINGS" else a for a in argv]
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    assert run_cli("simulate", *argv, "--out", str(first)) == 0
+    assert run_cli("simulate", "--config", str(first / "config.json"), "--out", str(second)) == 0
+    for name in RUN_FILES:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(
@@ -232,8 +276,8 @@ def test_every_setting_reaches_the_run(tmp_path, monkeypatch, name, via):
     assert getattr(effective, name) == value
     assert type(getattr(effective, name)) is type(value)
     written = json.loads((out / "config.json").read_text())
-    assert written == asdict(effective)
-    assert written[name] == value
+    assert written == {RENAMED_KEYS.get(n, n): v for n, v in asdict(effective).items()}
+    assert written[RENAMED_KEYS.get(name, name)] == value
 
 
 @pytest.mark.parametrize(
@@ -300,7 +344,7 @@ def test_flag_overrides_config_file(tmp_path):
     )
     assert code == 0
     effective = json.loads((out / "config.json").read_text())
-    assert effective["attack_kind"] == "whitewashing"
+    assert effective["attack"] == "whitewashing"
     assert effective["seed"] == 5
 
 

@@ -170,3 +170,40 @@ def test_drop_forgets_agent():
     ledger.set(AgentId(3), 0.9)
     ledger.drop(AgentId(3))
     assert ledger.get(AgentId(3)) == ledger.initial_score
+
+
+def test_entries_are_found_by_an_equal_fresh_id():
+    ledger = CredibilityLedger()
+    stored = AgentId(12)
+    ledger.set(stored, 0.75)
+    fresh = AgentId(int("12"))
+    assert fresh is not stored
+    assert fresh in ledger
+    assert ledger.get(fresh) == 0.75
+    ledger.batch_update(
+        [Recommendation(fresh, AgentId(99), Verdict.TRUSTWORTHY, 0.75)], triple(0.9, 0.05)
+    )
+    assert len(ledger) == 1
+    assert ledger.get(stored) == 1.0
+    ledger.drop(AgentId(12))
+    assert stored not in ledger
+
+
+def test_snapshot_lists_ids_in_numeric_order(tmp_path):
+    ledger = CredibilityLedger()
+    for value in (100, 2, 10):
+        ledger.set(AgentId(value), 0.5)
+    path = tmp_path / "credibility.tsv"
+    ledger.save(path)
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["2", "10", "100"]
+
+
+def test_as_map_is_a_copy():
+    ledger = CredibilityLedger()
+    ledger.set(AgentId(1), 0.25)
+    scores = ledger.as_map()
+    scores[AgentId(1)] = 1.0
+    scores[AgentId(2)] = 0.0
+    assert ledger.as_map() == {AgentId(1): 0.25}
+    assert AgentId(2) not in ledger

@@ -141,3 +141,37 @@ def test_snapshot_round_trip(tmp_path):
 def test_validation():
     with pytest.raises(ValueError):
         InquiryLedger(initial_budget=-1)
+
+
+def test_pairs_are_found_by_equal_fresh_ids():
+    ledger = InquiryLedger(initial_budget=4)
+    ledger.consume(AgentId(1), AgentId(2))
+    ledger.record_answer(AgentId(2), AgentId(1))
+    assert ledger.budget(AgentId(1), AgentId(2)) == 3
+    assert ledger.answered(AgentId(2), AgentId(1)) == 1
+    # a zero credibility, found by an equal id, pays no bonus: 4 + 1 + 0 + 1
+    ledger.replenish({AgentId(2): 0.0}, default_credibility=1.0)
+    assert ledger.budget(AgentId(2), AgentId(1)) == 6
+    ledger.drop_agent(AgentId(2))
+    assert ledger.budget(AgentId(1), AgentId(2)) == 4
+    assert ledger.budget(AgentId(2), AgentId(1)) == 4
+
+
+def test_snapshot_lists_ids_in_numeric_order(tmp_path):
+    ledger = InquiryLedger(initial_budget=3)
+    for a, b in ((100, 2), (2, 100), (10, 100), (2, 10)):
+        ledger.consume(AgentId(a), AgentId(b))
+        ledger.record_answer(AgentId(b), AgentId(a))
+    path = tmp_path / "inquiries.tsv"
+    ledger.save(path)
+    rows = [row.split("\t")[:3] for row in path.read_text().splitlines()[1:]]
+    assert rows == [
+        ["budget", "2", "10"],
+        ["budget", "2", "100"],
+        ["budget", "10", "100"],
+        ["budget", "100", "2"],
+        ["answered", "2", "100"],
+        ["answered", "10", "2"],
+        ["answered", "100", "2"],
+        ["answered", "100", "10"],
+    ]

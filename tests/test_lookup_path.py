@@ -178,7 +178,7 @@ def test_memo_is_not_part_of_the_tree_value(state, issuer):
     assert hash(state.tree) == hash(twin.tree)
     assert "verdicts" not in repr(state.tree)
     # a tree derived from another does not inherit its answers
-    assert dataclasses.replace(state.tree, max_depth=3).verdicts == {}
+    assert dataclasses.replace(state.tree, n_features=3).verdicts == {}
 
 
 # ---------------------------------------------------------------------------

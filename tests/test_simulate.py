@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import _populationpy
 from trustsim.advisor import self_assess
+from trustsim.core import AgentId
 from trustsim.simulate import (
     ConfigError,
     ScenarioConfig,
@@ -292,6 +295,41 @@ def test_starved_budget_skips_cells():
     result = run_scenario(config)
     assert result.skipped_cells > 0
     assert result.skipped_cells == np.isnan(result.per_item_mae).sum()
+
+
+def test_budgets_follow_the_per_period_drip():
+    # The system polls each advisor once per item while its budget lasts and
+    # never answers, so each period pays it only the drip of one. Each
+    # advisor's budget toward the system exists from its first answer on and
+    # grows by its pay; no scenario has an advisor ask the system anything.
+    budget, n_items, n_iterations = 5, 3, 4
+    config = ScenarioConfig(
+        seed=3, n_advisors=6, n_items=n_items, n_iterations=n_iterations,
+        initial_budget=budget, period_length=1,
+    )
+    records = []
+    result = run_scenario(config, trace=records.append)
+    (system,) = {AgentId(record["requester"]) for record in records}
+    inquiries = result.inquiry_ledger
+    assert result.final_identities
+    for advisor in result.final_identities:
+        asked, paid, answering = budget, budget, False
+        for iteration in range(1, n_iterations + 1):
+            rounds = [r for r in records if r["iteration"] == iteration]
+            served = sum(
+                advisor.value in [rec["advisor"] for rec in r["responders"]] for r in rounds
+            )
+            polled = served + sum(advisor.value in r["abstainers"] for r in rounds)
+            assert polled == min(asked, n_items)
+            asked = asked - polled + 1
+            answering = answering or served > 0
+            if answering:
+                score = result.credibility_trajectories[advisor][iteration - 1]
+                paid += served + math.ceil(served * score) + 1
+        assert inquiries.budget(system, advisor) == asked == 1
+        assert inquiries.budget(advisor, system) == paid
+        if answering:
+            assert paid > budget
 
 
 def test_trajectories_are_aligned_with_iterations():
