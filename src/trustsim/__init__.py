@@ -31,10 +31,8 @@ from .tree import SPLIT_BACKEND, DecisionTree, EmptyDataset
 from .advisor import (
     AdvisorDataset,
     AdvisorState,
-    InteractionRecord,
     SelfAssessment,
     self_assess,
-    train_tree,
 )
 from .adversary import (
     AttackKind,
@@ -71,7 +69,6 @@ __all__ = [
     "IdentityIssuer",
     "IngestError",
     "InquiryLedger",
-    "InteractionRecord",
     "MassFunction",
     "Probability",
     "Recommendation",
@@ -98,6 +95,5 @@ __all__ = [
     "self_assess",
     "sybil_expand",
     "synthesize_population",
-    "train_tree",
     "whitewash_maybe_reset",
 ]

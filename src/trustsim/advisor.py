@@ -18,43 +18,41 @@ from typing import Sequence
 import numpy as np
 
 from .core import AgentId, Probability, Verdict
-from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict, recalled
+# ``fit`` has no caller here; the benchmark harness wraps ``advisor.fit`` by name.
+from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict, recalled  # noqa: F401
+
+#: A dataset label's letter in the CSV format, indexed by the label.
+_LABEL_LETTERS = (Verdict.UNTRUSTWORTHY.value, Verdict.TRUSTWORTHY.value)
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One labelled past interaction: a feature vector and its outcome."""
-
-    features: tuple[float, ...]
-    label: Verdict
-
-
-@dataclass
+@dataclass(eq=False)
 class AdvisorDataset:
-    """A named feature schema plus the records that conform to it."""
+    """A named feature schema and the labelled past interactions that conform to
+    it, held as the arrays the tree grower reads: row ``i`` of ``values``
+    (float64, one column per schema name) is an interaction's feature vector
+    and ``labels[i]`` (uint8) its outcome, 1 for trustworthy and 0 for
+    untrustworthy. Both are read-only copies, checked once here."""
 
     schema: tuple[str, ...]
-    records: list[InteractionRecord]
+    values: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         width = len(self.schema)
-        for record in self.records:
-            if len(record.features) != width:
-                raise ValueError(
-                    f"record has {len(record.features)} features, schema has {width}"
-                )
+        values = np.array(self.values, dtype=np.float64)
+        labels = np.asarray(self.labels)
+        if values.ndim != 2 or values.shape[1] != width:
+            raise ValueError(f"values have shape {values.shape}, schema has {width} features")
+        if labels.shape != (len(values),):
+            raise ValueError(f"labels have shape {labels.shape}, values have {len(values)} rows")
+        if ((labels != 0) & (labels != 1)).any():
+            raise ValueError("labels must be 0 (untrustworthy) or 1 (trustworthy)")
+        labels = labels.astype(np.uint8)
+        values.flags.writeable = labels.flags.writeable = False
+        self.values, self.labels = values, labels
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        values = np.array([r.features for r in self.records], dtype=np.float64)
-        values = values.reshape(len(self.records), len(self.schema))
-        labels = np.array(
-            [1 if r.label is Verdict.TRUSTWORTHY else 0 for r in self.records],
-            dtype=np.uint8,
-        )
-        return values, labels
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -79,14 +77,6 @@ class AdvisorState:
     assessment: SelfAssessment
 
 
-def train_tree(dataset: AdvisorDataset, max_depth: int = 8, min_leaf: int = 2) -> DecisionTree:
-    """Train the advisor's classifier on its full dataset."""
-    if len(dataset) == 0:
-        raise EmptyDataset("advisor has no interaction records")
-    values, labels = dataset.to_arrays()
-    return fit(values, labels, max_depth=max_depth, min_leaf=min_leaf)
-
-
 def cv_folds(n_records: int, k: int, seed: int | None = None) -> list[list[int]]:
     """Deterministic fold assignment: a seeded shuffle of the record indices,
     then position-mod-k bucketing. The folds partition the dataset exactly."""
@@ -103,10 +93,10 @@ def cv_folds(n_records: int, k: int, seed: int | None = None) -> list[list[int]]
 
 def _cross_validate(
     dataset: AdvisorDataset, k: int, threshold: float, resource_flag: bool, seed: int | None,
-    max_depth: int, min_leaf: int, with_full_tree: bool,
-) -> tuple[list[DecisionTree], SelfAssessment]:
-    """:func:`self_assess`, and with ``with_full_tree`` also a list holding the tree
-    on every record; that tree and the fold trees grow in one ``fit_many`` call."""
+    max_depth: int, min_leaf: int,
+) -> tuple[DecisionTree, SelfAssessment]:
+    """The tree on every record and the :func:`self_assess` result. That tree and
+    the k fold trees grow in one ``fit_many`` call."""
     n = len(dataset)
     if n == 0:
         raise EmptyDataset("advisor has no interaction records")
@@ -115,17 +105,18 @@ def _cross_validate(
     if k < 2:
         raise ValueError("cross-validation needs at least two folds")
     effective_k = min(k, n)
-    values, labels = dataset.to_arrays()
+    values, labels = dataset.values, dataset.labels
     folds = cv_folds(n, effective_k, seed)
-    lead = int(with_full_tree)
-    row_sets = [np.arange(n)] * lead
+    row_sets = [np.arange(n)]
     for fold in folds:
         held = np.zeros(n, dtype=bool)
         held[fold] = True
         row_sets.append(np.flatnonzero(~held))
-    models = fit_many(values, labels, row_sets, max_depth=max_depth, min_leaf=min_leaf)
+    full, *fold_models = fit_many(
+        values, labels, row_sets, max_depth=max_depth, min_leaf=min_leaf
+    )
     fold_accuracies: list[float] = []
-    for fold, model in zip(folds, models[lead:]):
+    for fold, model in zip(folds, fold_models):
         hits = 0
         for index in fold:
             wanted = Verdict.TRUSTWORTHY if labels[index] else Verdict.UNTRUSTWORTHY
@@ -134,7 +125,7 @@ def _cross_validate(
         fold_accuracies.append(hits / len(fold))
     accuracy = Probability(sum(fold_accuracies) / effective_k)
     participate = bool(resource_flag and accuracy >= threshold)
-    return models[:lead], SelfAssessment(accuracy, effective_k, participate)
+    return full, SelfAssessment(accuracy, effective_k, participate)
 
 
 def self_assess(
@@ -155,9 +146,7 @@ def self_assess(
     accuracy threshold and ``resource_flag``; an advisor that cannot spare the
     resources withdraws regardless of how good its data is.
     """
-    return _cross_validate(
-        dataset, k, threshold, resource_flag, seed, max_depth, min_leaf, with_full_tree=False
-    )[1]
+    return _cross_validate(dataset, k, threshold, resource_flag, seed, max_depth, min_leaf)[1]
 
 
 def build_advisor(
@@ -171,10 +160,10 @@ def build_advisor(
     max_depth: int = 8,
     min_leaf: int = 2,
 ) -> AdvisorState:
-    """Train, self-assess, and bundle the result into an advisor state: the
-    ``train_tree`` tree and the ``self_assess`` result, from one ``fit_many`` call."""
-    (model,), assessment = _cross_validate(
-        dataset, k, threshold, resource_flag, seed, max_depth, min_leaf, with_full_tree=True
+    """Train, self-assess, and bundle the result into an advisor state: the tree
+    on every record and the ``self_assess`` result, from one ``fit_many`` call."""
+    model, assessment = _cross_validate(
+        dataset, k, threshold, resource_flag, seed, max_depth, min_leaf
     )
     return AdvisorState(identity, model, assessment)
 
@@ -200,15 +189,15 @@ def honest_responder(advisor: AdvisorState):
 def save_dataset(dataset: AdvisorDataset, path: str | Path) -> None:
     """Write the CSV dataset format: header of feature names plus ``label``,
     one record per line, labels ``T``/``N``."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(dataset.schema) + ["label"])
-        for record in dataset.records:
-            writer.writerow([repr(v) for v in record.features] + [record.label.value])
+        for row, label in zip(dataset.values.tolist(), dataset.labels.tolist()):
+            writer.writerow([repr(v) for v in row] + [_LABEL_LETTERS[label]])
 
 
 def load_dataset(path: str | Path) -> AdvisorDataset:
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -217,7 +206,7 @@ def load_dataset(path: str | Path) -> AdvisorDataset:
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: header must end with a 'label' column")
         schema = tuple(header[:-1])
-        records = []
+        rows, labels = [], []
         for row in reader:
             if not row:
                 continue
@@ -225,9 +214,9 @@ def load_dataset(path: str | Path) -> AdvisorDataset:
                 raise ValueError(f"{path}: row width {len(row)} != header width")
             raw_label = row[-1].strip()
             try:
-                label = Verdict(raw_label)
+                labels.append(Verdict(raw_label) is Verdict.TRUSTWORTHY)
             except ValueError:
                 raise ValueError(f"{path}: unknown label {raw_label!r}") from None
-            features = tuple(float(v) for v in row[:-1])
-            records.append(InteractionRecord(features, label))
-    return AdvisorDataset(schema, records)
+            rows.append([float(v) for v in row[:-1]])
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    return AdvisorDataset(schema, values, labels)

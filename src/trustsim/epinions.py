@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .advisor import AdvisorDataset, InteractionRecord
-from .core import Probability, Verdict
+from .advisor import AdvisorDataset
+from .core import Probability
 
 #: Feature schema for ratings-derived records, in order.
 RATINGS_SCHEMA = ("mean_rating_others", "rating_count", "rating_variance")
@@ -132,8 +132,8 @@ def ingest_epinions(ratings_path: str | Path) -> EpinionsData:
         item_truth[item] = float(ground_truth_trust(ratings))
         item_features[item] = (_mean(ratings), float(len(ratings)), _variance(ratings))
 
-    datasets: dict[str, AdvisorDataset] = {}
-    per_user: dict[str, list[InteractionRecord]] = {}
+    # each user's feature rows and labels (1: rated at or above the cutoff)
+    per_user: dict[str, tuple[list[tuple[float, float, float]], list[bool]]] = {}
     for user, item, rating in rows:
         others = [r for (u, r) in by_item[item] if u != user]
         if others:
@@ -141,10 +141,13 @@ def ingest_epinions(ratings_path: str | Path) -> EpinionsData:
         else:
             # Imputation for single-rater items: no peers to describe them.
             features = (global_mean, 0.0, 0.0)
-        label = Verdict.TRUSTWORTHY if rating >= SATISFACTION_CUTOFF else Verdict.UNTRUSTWORTHY
-        per_user.setdefault(user, []).append(InteractionRecord(features, label))
-    for user, records in per_user.items():
-        datasets[user] = AdvisorDataset(RATINGS_SCHEMA, records)
+        feature_rows, labels = per_user.setdefault(user, ([], []))
+        feature_rows.append(features)
+        labels.append(rating >= SATISFACTION_CUTOFF)
+    datasets = {
+        user: AdvisorDataset(RATINGS_SCHEMA, feature_rows, labels)
+        for user, (feature_rows, labels) in per_user.items()
+    }
 
     stats = IngestStats(
         users=len(datasets), items=len(by_item), reviews=len(rows), skipped=skipped

@@ -38,11 +38,10 @@ from .adversary import (
 from .advisor import (
     AdvisorDataset,
     AdvisorState,
-    InteractionRecord,
     build_advisor,
     honest_responder,
 )
-from .core import AgentId, IdentityIssuer, Verdict
+from .core import AgentId, IdentityIssuer
 from .credibility import CredibilityLedger
 from .engine import RecommendationRequest, Responder, run_round
 from .epinions import EpinionsData, ground_truth_trust, ingest_epinions
@@ -203,9 +202,7 @@ def synthesize_population(
         observed = good == (draw[:, 1] >= noise)
         low = np.where(good, 0.55, 0.05)[:, None]
         features = low + ((low + 0.4) - low) * draw[:, 2:]
-        verdicts = [Verdict.TRUSTWORTHY if kept else Verdict.UNTRUSTWORTHY for kept in observed]
-        records = list(map(InteractionRecord, map(tuple, features.tolist()), verdicts))
-        datasets.append(AdvisorDataset(schema, records))
+        datasets.append(AdvisorDataset(schema, features, observed))
 
     items = []
     for _ in range(n_items):

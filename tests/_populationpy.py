@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from trustsim.advisor import AdvisorDataset, InteractionRecord
-from trustsim.core import Verdict
+from trustsim.advisor import AdvisorDataset
 from trustsim.simulate import RATERS_PER_ITEM, ItemSpec, ground_truth_trust
 
 
@@ -32,17 +31,13 @@ def synthesize_population(
 
     datasets = []
     for _ in range(n_advisors):
-        records = []
+        rows, labels = [], []
         for _ in range(records_per_advisor):
             good = bool(rng.random() < 0.5)
             observed = good if rng.random() >= noise else not good
-            records.append(
-                InteractionRecord(
-                    feature_vector(good),
-                    Verdict.TRUSTWORTHY if observed else Verdict.UNTRUSTWORTHY,
-                )
-            )
-        datasets.append(AdvisorDataset(schema, records))
+            rows.append(feature_vector(good))
+            labels.append(observed)
+        datasets.append(AdvisorDataset(schema, rows, labels))
 
     items = []
     for _ in range(n_items):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trustsim.advisor import AdvisorDataset, InteractionRecord, cv_folds, self_assess
+from trustsim.advisor import AdvisorDataset, cv_folds, self_assess
 from trustsim.cli import main as cli_main
 from trustsim.core import AgentId, Verdict
 from trustsim.credibility import CredibilityLedger
@@ -193,7 +193,7 @@ def test_c05_decision_tree_correctness():
     # depth-1 stump on replicated XOR: cross-validated accuracy over 10 seeds
     points = [((0.0, 0.0), N), ((0.0, 1.0), T), ((1.0, 0.0), T), ((1.0, 1.0), N)]
     dataset = AdvisorDataset(
-        ("a", "b"), [InteractionRecord(f, label) for f, label in points * 10]
+        ("a", "b"), [f for f, _ in points * 10], [label is T for _, label in points * 10]
     )
     for seed in range(10):
         result = self_assess(dataset, k=10, seed=seed, max_depth=1)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from trustsim import advisor
 from trustsim.advisor import (
     AdvisorDataset,
-    InteractionRecord,
     advisor_verdict,
     build_advisor,
     cv_folds,
@@ -14,20 +13,18 @@ from trustsim.advisor import (
     load_dataset,
     save_dataset,
     self_assess,
-    train_tree,
 )
 from trustsim.core import AgentId, Verdict
-from trustsim.tree import EmptyDataset, Leaf, predict
+from trustsim.tree import EmptyDataset, Leaf, fit, predict
 
 T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
 
 def dataset_from(rows, schema=None):
+    """A dataset from ``(features, verdict)`` rows."""
     width = len(rows[0][0])
     schema = schema or tuple(f"f{i}" for i in range(width))
-    return AdvisorDataset(
-        schema, [InteractionRecord(tuple(f), label) for f, label in rows]
-    )
+    return AdvisorDataset(schema, [f for f, _ in rows], [label is T for _, label in rows])
 
 
 def pure_dataset(n=20):
@@ -48,20 +45,44 @@ def separable_dataset(n=30):
 
 
 def test_dataset_rejects_ragged_records():
-    with pytest.raises(ValueError):
-        AdvisorDataset(("a", "b"), [InteractionRecord((1.0,), T)])
+    with pytest.raises(ValueError, match="schema has 2 features"):
+        AdvisorDataset(("a", "b"), [[1.0]], [1])
+    with pytest.raises(ValueError, match="schema has 2 features"):
+        AdvisorDataset(("a", "b"), [1.0, 2.0], [1, 0])
 
 
-def test_to_arrays_shapes_and_labels():
-    data = dataset_from([((0.1, 0.2), T), ((0.3, 0.4), N)])
-    X, y = data.to_arrays()
-    assert X.shape == (2, 2)
-    assert y.tolist() == [1, 0]
+@pytest.mark.parametrize("labels", [[1], [1, 0, 1], [[1, 0]]])
+def test_dataset_needs_one_label_per_row(labels):
+    with pytest.raises(ValueError, match="labels have shape"):
+        AdvisorDataset(("a",), [[0.1], [0.2]], labels)
 
 
-def test_train_tree_on_empty_dataset():
+@pytest.mark.parametrize("labels", [[0, 2], [1, -1], [0.5, 1], ["T", "N"]])
+def test_dataset_labels_are_zero_or_one(labels):
+    with pytest.raises(ValueError, match="labels must be 0"):
+        AdvisorDataset(("a",), [[0.1], [0.2]], labels)
+
+
+def test_dataset_holds_float_values_and_uint8_labels():
+    values = np.array([[1, 2], [3, 4]])
+    labels = np.array([True, False])
+    data = AdvisorDataset(("a", "b"), values, labels)
+    assert data.values.dtype == np.float64 and data.values.shape == (2, 2)
+    assert data.labels.dtype == np.uint8 and data.labels.tolist() == [1, 0]
+    assert len(data) == 2
+    # read-only copies: neither the dataset nor its source can change it
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 0] = 9.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[0] = 0
+    values[0, 0], labels[0] = 9, False
+    assert data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert data.labels.tolist() == [1, 0]
+
+
+def test_self_assess_on_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train_tree(AdvisorDataset(("a",), []))
+        self_assess(AdvisorDataset(("a",), np.empty((0, 1)), []))
 
 
 def test_cv_folds_partition_exactly():
@@ -158,7 +179,8 @@ def test_dataset_file_round_trip(tmp_path):
     save_dataset(data, path)
     loaded = load_dataset(path)
     assert loaded.schema == ("alpha", "beta")
-    assert loaded.records == data.records
+    assert loaded.values.tolist() == data.values.tolist()
+    assert loaded.labels.tolist() == data.labels.tolist() == [1, 0]
     header = path.read_text().splitlines()[0]
     assert header == "alpha,beta,label"
 
@@ -193,43 +215,38 @@ def test_load_dataset_rejects_missing_label_column(tmp_path):
     data_seed=st.integers(0, 2**32 - 1),
     fold_seed=st.integers(0, 2**16),
 )
-def test_build_advisor_equals_train_tree_and_self_assess(
+def test_build_advisor_equals_fit_and_self_assess(
     n, d, decimals, k, max_depth, min_leaf, data_seed, fold_seed
 ):
     # rounded values repeat, so split candidates tie
     rng = np.random.default_rng(data_seed)
     values = np.round(rng.random((n, d)), decimals)
     labels = rng.random(n) < 0.5
-    data = dataset_from([(tuple(row), T if y else N) for row, y in zip(values.tolist(), labels)])
+    data = AdvisorDataset(tuple(f"f{i}" for i in range(d)), values, labels)
     grow = dict(max_depth=max_depth, min_leaf=min_leaf)
     built = build_advisor(AgentId(1), data, k=k, seed=fold_seed, **grow)
-    assert built.tree == train_tree(data, **grow)
+    assert built.tree == fit(values, labels.astype(np.uint8), **grow)
     assert built.assessment == self_assess(data, k, seed=fold_seed, **grow)
     assert built.assessment.folds == min(k, n)
 
 
 def test_build_advisor_converts_and_fits_once(monkeypatch):
     calls = []
-    to_arrays, fit_many = AdvisorDataset.to_arrays, advisor.fit_many
-
-    def counted_to_arrays(self):
-        calls.append("to_arrays")
-        return to_arrays(self)
+    fit_many = advisor.fit_many
 
     def counted_fit_many(values, labels, row_sets, **grow):
         calls.append(len(row_sets))
         return fit_many(values, labels, row_sets, **grow)
 
-    monkeypatch.setattr(AdvisorDataset, "to_arrays", counted_to_arrays)
     monkeypatch.setattr(advisor, "fit_many", counted_fit_many)
     monkeypatch.setattr(advisor, "fit", None)
     build_advisor(AgentId(1), separable_dataset(30), k=7, seed=0)
-    assert calls == ["to_arrays", 1 + 7]
+    assert calls == [1 + 7]
 
 
 def test_build_advisor_on_empty_dataset():
     with pytest.raises(EmptyDataset, match="^advisor has no interaction records$"):
-        build_advisor(AgentId(1), AdvisorDataset(("a",), []), k=1)
+        build_advisor(AgentId(1), AdvisorDataset(("a",), np.empty((0, 1)), []), k=1)
 
 
 def test_build_advisor_needs_two_records():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.core import Verdict
 from trustsim.epinions import (
     RATINGS_SCHEMA,
     IngestError,
@@ -36,19 +35,18 @@ def test_toy_file_stats_line(toy_file):
 
 def test_labels_follow_own_rating(toy_file):
     data = ingest_epinions(toy_file)
-    u1 = data.datasets["u1"].records
-    assert [r.label for r in u1] == [Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY]
-    assert data.datasets["u2"].records[0].label is Verdict.TRUSTWORTHY
+    assert data.datasets["u1"].labels.tolist() == [1, 0]
+    assert data.datasets["u2"].labels.tolist() == [1]
 
 
 def test_features_come_from_other_raters(toy_file):
     data = ingest_epinions(toy_file)
     assert data.datasets["u1"].schema == RATINGS_SCHEMA
     # u1 on i1: the only other rater is u2 with a 4
-    mean_others, count, variance = data.datasets["u1"].records[0].features
+    mean_others, count, variance = data.datasets["u1"].values[0].tolist()
     assert (mean_others, count, variance) == (4.0, 1.0, 0.0)
     # u1 on i2: no other raters, mean imputed with the global mean
-    mean_others, count, variance = data.datasets["u1"].records[1].features
+    mean_others, count, variance = data.datasets["u1"].values[1].tolist()
     assert mean_others == pytest.approx((5 + 4 + 1) / 3)
     assert (count, variance) == (0.0, 0.0)
 
@@ -143,7 +141,7 @@ def oracle_features(rows):
             features = (mean, len(others), variance)
         else:
             features = (global_mean, 0, 0)
-        label = Verdict.TRUSTWORTHY if rating >= 4 else Verdict.UNTRUSTWORTHY
+        label = int(rating >= 4)  # 1: trustworthy
         per_user.setdefault(user, []).append((features, label))
     return per_user
 
@@ -166,11 +164,11 @@ def test_features_leave_every_rating_of_the_user_out(rows):
     want = oracle_features(rows)
     assert set(data.datasets) == set(want)
     for user, records in want.items():
-        got = data.datasets[user].records
+        got = data.datasets[user]
         assert len(got) == len(records)
-        for record, (features, label) in zip(got, records):
-            assert record.label is label
-            assert_features_match(record.features, features)
+        assert got.labels.tolist() == [label for _, label in records]
+        for row, (features, _) in zip(got.values.tolist(), records):
+            assert_features_match(row, features)
     for item in {i for _, i, _ in rows}:
         ratings = [r for _, i, r in rows if i == item]
         mean, variance = exact_moments(ratings)
@@ -183,10 +181,9 @@ def test_a_double_rating_is_left_out_whole(tmp_path):
     path = tmp_path / "ratings.txt"
     path.write_text("a,x,5\nb,x,2\na,x,1\n")
     data = ingest_epinions(path)
-    first, second = data.datasets["a"].records
     # both of a's ratings of x see only b's 2
-    assert first.features == second.features == (2.0, 1.0, 0.0)
-    assert [first.label, second.label] == [Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY]
+    assert data.datasets["a"].values.tolist() == [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]]
+    assert data.datasets["a"].labels.tolist() == [1, 0]
     # b sees both of a's ratings
-    assert data.datasets["b"].records[0].features == (3.0, 2.0, 4.0)
+    assert data.datasets["b"].values.tolist() == [[3.0, 2.0, 4.0]]
     assert data.item_features["x"] == (8 / 3, 3.0, pytest.approx(26 / 9))

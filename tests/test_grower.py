@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import _splitpy
 from trustsim import tree
-from trustsim.advisor import AdvisorDataset, InteractionRecord, cv_folds, self_assess
+from trustsim.advisor import AdvisorDataset, cv_folds, self_assess
 from trustsim.core import Verdict
 from trustsim.tree import EmptyDataset, fit, fit_many
 
@@ -107,10 +107,7 @@ def test_self_assess_matches_oracle_fold_trees():
     values = np.round(rng.random((45, 3)), 1)
     labels = (rng.random(45) < 0.6).astype(np.uint8)
     verdicts = (Verdict.UNTRUSTWORTHY, Verdict.TRUSTWORTHY)
-    dataset = AdvisorDataset(
-        ("a", "b", "c"),
-        [InteractionRecord(tuple(row), verdicts[lab]) for row, lab in zip(values.tolist(), labels)],
-    )
+    dataset = AdvisorDataset(("a", "b", "c"), values, labels)
     folds = cv_folds(45, 10, seed=5)
     accuracies = []
     for fold in folds:

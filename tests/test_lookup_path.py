@@ -68,9 +68,9 @@ def walks(monkeypatch, state):
 
 def features_for(state, verdict):
     """A feature tuple the state's tree answers ``verdict`` for."""
-    for record in DATASET.records:
-        if predict(state.tree, record.features) is verdict:
-            return record.features
+    for features in map(tuple, DATASET.values.tolist()):
+        if predict(state.tree, features) is verdict:
+            return features
     raise AssertionError(f"the tree never answers {verdict}")
 
 
@@ -158,7 +158,7 @@ def test_withdrawn_advisor_never_walks(walks, issuer):
     withdrawn = build_advisor(issuer.fresh(), dataset, seed=1, max_depth=1)
     assert not withdrawn.assessment.participate
     walks.clear()
-    features = dataset.records[0].features
+    features = tuple(dataset.values[0].tolist())
     assert honest_responder(withdrawn)(SUBJECT, features) is None
     assert walks == Counter()
     assert withdrawn.tree.verdicts == {}
