@@ -72,9 +72,11 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
     merged: dict = {}
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"{args.config} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"{args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -122,7 +124,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # trace behind.
     partial = out_dir / "trace.jsonl.partial"
     try:
-        with open(partial, "w") as handle:
+        with open(partial, "w", encoding="utf-8") as handle:
 
             def trace(record: dict) -> None:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -159,8 +161,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         truth = data.item_truth[item]
         count = int(data.item_features[item][1])
         item_lines.append(f"{item},{truth!r},{count}")
-    (out / "items.csv").write_text("\n".join(item_lines) + "\n")
-    (out / "stats.txt").write_text(data.stats.report() + "\n")
+    (out / "items.csv").write_text("\n".join(item_lines) + "\n", encoding="utf-8")
+    (out / "stats.txt").write_text(data.stats.report() + "\n", encoding="utf-8")
     print(data.stats.report())
     return EXIT_OK
 
@@ -172,7 +174,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not summary_path.exists():
             print(f"error: {directory} has no summary.json", file=sys.stderr)
             return EXIT_USAGE
-        rows.append((directory.name, json.loads(summary_path.read_text())))
+        rows.append((directory.name, json.loads(summary_path.read_text(encoding="utf-8"))))
 
     seen_attacks: dict[str, int] = {}
     lines = ["attack  mae_mean  mae_std  mae_plain_mean  mae_plain_std  run"]
@@ -195,7 +197,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out is not None:
-        args.out.write_text(table)
+        args.out.write_text(table, encoding="utf-8")
     return EXIT_OK
 
 

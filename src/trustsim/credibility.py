@@ -127,12 +127,12 @@ class CredibilityLedger:
         lines = ["agent_id\tscore"]
         for agent in sorted(self._scores):
             lines.append(f"{agent.value}\t{self._scores[agent]!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, initial_score: float = 0.5) -> "CredibilityLedger":
         ledger = cls(initial_score)
-        text = Path(path).read_text().splitlines()
+        text = Path(path).read_text(encoding="utf-8").splitlines()
         for line in text[1:]:
             if not line.strip():
                 continue

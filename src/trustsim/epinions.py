@@ -5,11 +5,14 @@ integer ratings from 1 to 5. Each user becomes an advisor dataset: one record
 per item the user rated, with features computed from how *other* users rated
 that item and a label from the user's own satisfaction (4 or above counts as
 trustworthy). Item-level ground truth is the fraction of all ratings at 4 or
-above.
+above. The file is read as UTF-8 with a leading byte-order mark dropped; a
+byte that is not UTF-8 aborts naming its line, and a rating written in
+anything but ASCII digits makes its line malformed.
 """
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,9 +74,16 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
     rows: list[tuple[str, str, int]] = []
     skipped = 0
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read ratings file {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the decoder counts its offsets after a byte-order mark
+        line = raw.removeprefix(codecs.BOM_UTF8).count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise IngestError(f"{path}, line {line}: byte {byte:#04x} is not UTF-8 text") from exc
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -83,6 +93,9 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
             skipped += 1
             continue
         user, item, raw_rating = parts
+        if not raw_rating.isascii():  # int() reads any script's digits: "５" is 5
+            skipped += 1
+            continue
         try:
             rating = int(raw_rating)
         except ValueError:

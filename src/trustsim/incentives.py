@@ -106,12 +106,12 @@ class InquiryLedger:
         for kind, counts in (("budget", self._budget), ("answered", self._answered)):
             for a, b in sorted(counts):
                 lines.append(f"{kind}\t{a.value}\t{b.value}\t{counts[(a, b)]}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path, initial_budget: int = 10) -> "InquiryLedger":
         ledger = cls(initial_budget)
-        for line in Path(path).read_text().splitlines()[1:]:
+        for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]:
             if not line.strip():
                 continue
             kind, raw_a, raw_b, raw_count = line.split("\t")

@@ -464,8 +464,10 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     }
     header = "# " + "  ".join(summary)
     row = "  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in summary.values())
-    (out / "summary.txt").write_text(header + "\n" + row + "\n")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (out / "summary.txt").write_text(header + "\n" + row + "\n", encoding="utf-8")
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
     series_lines = ["iteration,mean_mae,mean_attacker_credibility,mean_honest_credibility"]
     for (iteration, value), attacker, honest in zip(
@@ -474,7 +476,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         series_lines.append(
             f"{iteration},{_fmt(value)},{_fmt(attacker)},{_fmt(honest)}"
         )
-    (out / "series.csv").write_text("\n".join(series_lines) + "\n")
+    (out / "series.csv").write_text("\n".join(series_lines) + "\n", encoding="utf-8")
 
     matrix_lines = [
         "item," + ",".join(f"iter_{t + 1}" for t in range(result.per_item_mae.shape[1]))
@@ -482,9 +484,11 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     for index in range(result.per_item_mae.shape[0]):
         cells = ",".join(_fmt(v) for v in result.per_item_mae[index])
         matrix_lines.append(f"{index},{cells}")
-    (out / "per_item_mae.csv").write_text("\n".join(matrix_lines) + "\n")
+    (out / "per_item_mae.csv").write_text("\n".join(matrix_lines) + "\n", encoding="utf-8")
 
     settings = {KEY_OF_FIELD.get(name, name): value for name, value in asdict(config).items()}
-    (out / "config.json").write_text(json.dumps(settings, indent=2, sort_keys=True) + "\n")
+    (out / "config.json").write_text(
+        json.dumps(settings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     result.credibility_ledger.save(out / "credibility.tsv")
     result.inquiry_ledger.save(out / "inquiries.tsv")

@@ -1,5 +1,10 @@
+import codecs
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import pytest
@@ -7,6 +12,8 @@ import pytest
 from trustsim import cli
 from trustsim.cli import main
 from trustsim.simulate import ScenarioConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FAST = [
     "--advisors", "6",
@@ -490,3 +497,93 @@ def test_report_writes_output_file(tmp_path):
     table = tmp_path / "table.txt"
     assert run_cli("report", str(tmp_path / "one"), "--out", str(table)) == 0
     assert table.read_text().splitlines()[1].startswith("none")
+
+
+# ---------------------------------------------------------------------------
+# encodings: inputs are UTF-8 (a leading byte-order mark is dropped), outputs
+# are written as UTF-8, and no file is opened with the locale's default
+# ---------------------------------------------------------------------------
+
+TOY_RATINGS = "u1,i1,5\nu2,i1,4\nu1,i2,1\n"
+
+
+def _ingested(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(TOY_RATINGS.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + TOY_RATINGS.encode())
+    assert run_cli("ingest", "--ratings", str(plain), "--out", str(tmp_path / "a")) == 0
+    assert run_cli("ingest", "--ratings", str(marked), "--out", str(tmp_path / "b")) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2 users, 2 items, 3 reviews, 0 skipped"
+    written = _ingested(tmp_path / "b")
+    assert sorted(written) == [
+        "datasets/user_u1.csv", "datasets/user_u2.csv", "items.csv", "stats.txt",
+    ]
+    assert written == _ingested(tmp_path / "a")
+
+
+@pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+@pytest.mark.parametrize("command, code", [("ingest", 2), ("simulate", 1)])
+def test_ratings_byte_outside_utf8_names_file_and_line(tmp_path, capsys, mark, command, code):
+    ratings = tmp_path / "ratings.txt"
+    ratings.write_bytes(mark + b"u1,i1,5\n\nu2,i1,4\nu1,i2,\xff1\n")
+    out = tmp_path / "out"
+    argv = ["--ratings", str(ratings), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--seed", "1", "--advisors", "2", "--items", "2", "--k-folds", "2"]
+    assert run_cli(command, *argv) == code
+    assert capsys.readouterr().err == f"error: {ratings}, line 4: byte 0xff is not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_config_byte_outside_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"seed": 1, "attack": "n\xffne"}')
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {config} is not UTF-8 text: ")
+    assert not out.exists()
+
+
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(codecs.BOM_UTF8 + json.dumps({"seed": 4, "iterations": 2}).encode())
+    out = tmp_path / "run"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out), *FAST[:4]) == 0
+    written = json.loads((out / "config.json").read_text(encoding="utf-8"))
+    assert (written["seed"], written["iterations"]) == (4, 2)
+
+
+@pytest.mark.parametrize("digit", ["\uff15", "\u0665", "\u09eb"])  # 5 in three other scripts
+def test_rating_in_non_ascii_digits_is_malformed(tmp_path, capsys, digit):
+    ratings = tmp_path / "ratings.txt"
+    ratings.write_text("u1,i1,5\n" * 9 + f"u2,i1,{digit}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("ingest", "--ratings", str(ratings), "--out", str(out)) == 0
+    assert capsys.readouterr().out == "1 users, 1 items, 9 reviews, 1 skipped\n"
+    assert not (out / "datasets" / "user_u2.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "simulate --ratings", "ingest"])
+def test_no_file_is_opened_with_the_default_encoding(tmp_path, command):
+    ratings = _ratings_file(tmp_path / "ratings.txt")
+    out = str(tmp_path / "out")
+    argv = {
+        "simulate": ["simulate", "--seed", "2", *FAST, "--out", out],
+        "simulate --ratings": [
+            "simulate", "--seed", "2", "--ratings", ratings, "--advisors", "3",
+            "--items", "2", "--iterations", "2", "--k-folds", "2", "--out", out,
+        ],
+        "ingest": ["ingest", "--ratings", ratings, "--out", out],
+    }[command]
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "trustsim", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")

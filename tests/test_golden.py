@@ -1,10 +1,13 @@
-"""Golden outputs: small ``trustsim simulate`` runs, pinned by sha256.
+"""Golden outputs: small ``trustsim simulate`` runs and one ``trustsim ingest``
+run, pinned by sha256.
 
-Each case runs the CLI into a fresh directory and hashes the files that are a
-pure function of the scenario: the summaries, the series, the per-item error
-matrix and the two ledger snapshots. ``config.json`` is left out because it
-echoes the ratings file's absolute path, and ``trace.jsonl`` because its
-schema is allowed to change; its content is covered by the engine tests.
+Each simulate case runs the CLI into a fresh directory and hashes the files
+that are a pure function of the scenario: the summaries, the series, the
+per-item error matrix and the two ledger snapshots. ``config.json`` is left
+out because it echoes the ratings file's absolute path, and ``trace.jsonl``
+because its schema is allowed to change; its content is covered by the engine
+tests. The ingest case hashes every file it writes: ``items.csv``,
+``stats.txt`` and one ``datasets/user_<id>.csv`` per user.
 
 A change meant to keep every output bit must leave these digests as they are.
 A change that alters outputs on purpose re-records them and says why.
@@ -97,6 +100,26 @@ DIGESTS = {
     },
 }
 
+#: Every file ``trustsim ingest`` writes for ``write_ratings``' file.
+INGEST_DIGESTS = {
+    "datasets/user_u0.csv": "00c3948357872f7a052e50a318b330bfb1e5a00b6adc95bc29227524ab3b3053",
+    "datasets/user_u1.csv": "845520848605cfffca99d43ea9a4f5a4f68ddff9ac1a0892ee236e03bec93659",
+    "datasets/user_u10.csv": "8384deddf6d9225357ababfd67f9b7a74154b6e8619386b79115524d6d4aec50",
+    "datasets/user_u11.csv": "2a8d772475536f12d574297a894243f6e606858a14bbe1c274c0dd220f340d9c",
+    "datasets/user_u12.csv": "3d752e44204b5f514dd59ecc65e19f49e16c8edd93f8f56de7cda5a20b29056e",
+    "datasets/user_u13.csv": "4c777753136c1aee47bf307d4ff05cc24572f4b42ed3185700e9fc21d236c97b",
+    "datasets/user_u2.csv": "e7f6ace39f8dd85998f3b5ed390efe96929382d1c0b08a996ccf89db5b7040fb",
+    "datasets/user_u3.csv": "6c0a6a8d2c02d7eec043dc3e2e8807a6cfc94cde2c2422ade84d1f8819b48ad0",
+    "datasets/user_u4.csv": "707148889e7095cc60b789c4019a72f3b38ed78cd989d01584eee8d05fef93dd",
+    "datasets/user_u5.csv": "a086c7d317bf1c1145e623cfab63459d5b6af878f9eb61dee18ff248cd1bf4a3",
+    "datasets/user_u6.csv": "bdaa1735d66d653f0d69893931a6ba4c84d55ccbb7359f7332de5e707be10c59",
+    "datasets/user_u7.csv": "94ef0bb34680bdee412ab5fb44dba30befd8d7d5c6f4a541c2756ddc0a336ea1",
+    "datasets/user_u8.csv": "49c1eaf86efe48dd46219e5b8b64a8947cc3a162bab63d6a32583a8396b54c86",
+    "datasets/user_u9.csv": "36d2bc4e9d7ce3ef1e68a6aaeb53f0a62157a83d7cf74b71a57203ef867a658c",
+    "items.csv": "0000b9adac0529405cbc6f9817ccbcc3eb82d95ff7c6d1126f911d525c2353b7",
+    "stats.txt": "9a252df37f61460c04199680026d4d34b370d81687ae4de8bfafe205b8dd59fe",
+}
+
 
 def write_ratings(path, users=14, items=10, seed=5):
     """A seeded ratings file: the first half of the items are mostly liked,
@@ -129,3 +152,15 @@ def digests_of(tmp_path, case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_the_recorded_digests(tmp_path, case):
     assert digests_of(tmp_path, case) == DIGESTS[case]
+
+
+def test_ingest_outputs_match_the_recorded_digests(tmp_path):
+    ratings, out = tmp_path / "ratings.txt", tmp_path / "ingested"
+    write_ratings(ratings)
+    assert main(["ingest", "--ratings", str(ratings), "--out", str(out)]) == 0
+    written = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file()
+    }
+    assert written == INGEST_DIGESTS
