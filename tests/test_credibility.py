@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustsim.core import AgentId, Probability, Recommendation, Verdict
-from trustsim.credibility import CredibilityLedger, DuplicateRecommendation
+from trustsim import simulate
+from trustsim.credibility import CredibilityLedger, DuplicateRecommendation, _settled_score
 from trustsim.dst import MassFunction
+from trustsim.simulate import ScenarioConfig, run_scenario
 
 
 def triple(t, n):
@@ -207,3 +210,73 @@ def test_as_map_is_a_copy():
     scores[AgentId(2)] = 0.0
     assert ledger.as_map() == {AgentId(1): 0.25}
     assert AgentId(2) not in ledger
+
+
+# ---------------------------------------------------------------------------
+# lock-in: once a score reaches 1.0, dissent in a confident round cannot move it
+# (the cause of the c06 and c07 acceptance failures, README "Tests")
+# ---------------------------------------------------------------------------
+
+#: The largest losing belief that 1.0 absorbs: 1 - 2**-54 lies halfway between
+#: 1 - 2**-53 and 1.0 and rounds to even, which is 1.0.
+ABSORBED = 2.0**-54
+
+
+@settings(max_examples=300, deadline=None)
+@given(low=st.floats(0.0, ABSORBED), high=st.floats(0.0, 1.0), trust_wins=st.booleans())
+def test_dissent_from_full_credibility_is_absorbed(low, high, trust_wins):
+    assume(high > low)
+    trust, distrust = (high, low) if trust_wins else (low, high)
+    assert _settled_score(1.0, not trust_wins, trust, distrust) == 1.0
+
+
+def test_absorption_ends_just_above_two_to_the_minus_54():
+    assert _settled_score(1.0, False, 0.9, ABSORBED) == 1.0
+    assert _settled_score(1.0, True, ABSORBED, 0.9) == 1.0
+    above = math.nextafter(ABSORBED, 1.0)
+    assert _settled_score(1.0, False, 0.9, above) == 1.0 - 2.0**-53
+    assert _settled_score(1.0, True, above, 0.9) == 1.0 - 2.0**-53
+    # a losing belief of 1e-16 is already above the bound
+    assert _settled_score(1.0, False, 0.9, 1e-16) == 0.9999999999999999
+
+
+@settings(max_examples=300, deadline=None)
+@given(trust=st.floats(0.0, 1.0), distrust=st.floats(0.0, 1.0))
+def test_agreement_from_full_credibility_stays_at_one(trust, distrust):
+    assume(trust != distrust)
+    assert _settled_score(1.0, trust > distrust, trust, distrust) == 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_dissenting_sybil_minority_keeps_full_credibility(monkeypatch, seed):
+    # desk scale with one attacking principal and one fake: 2 of 21 identities
+    attackers = set()
+    expand = simulate.sybil_expand
+
+    def recorded(state, count, issuer):
+        fakes = expand(state, count, issuer)
+        attackers.update(a.identity.value for a in (state, *fakes))
+        return fakes
+
+    monkeypatch.setattr(simulate, "sybil_expand", recorded)
+    rounds = []
+    config = ScenarioConfig(
+        seed=seed, n_advisors=20, n_items=10, n_iterations=10, attack_kind="sybil",
+        attacker_fraction=0.05, sybil_count=1,
+    )
+    result = run_scenario(config, trace=rounds.append)
+    assert len(attackers) == 2
+    for attacker in attackers:
+        answers = [
+            (r, a) for r in rounds for a in r["responders"] if a["advisor"] == attacker
+        ]
+        dissents = [(r, a) for r, a in answers if a["verdict"] != r["verdict"]]
+        assert len(dissents) > len(answers) / 2  # 70-80 % at seeds 0 and 1
+        # every dissent from 1.0 leaves the score at 1.0: the losing belief is
+        # at most ABSORBED in each of those rounds (all but the first dissent)
+        locked = [(r, a) for r, a in dissents if a["credibility"] == 1.0]
+        assert len(locked) > len(dissents) / 2
+        for r, a in locked:
+            assert min(r["beliefs"]["trust"], r["beliefs"]["distrust"]) <= ABSORBED
+            assert r["credibility_after"][str(attacker)] == 1.0
+    assert result.attacker_credibility[-1] >= 0.99
