@@ -5,14 +5,12 @@ integer ratings from 1 to 5. Each user becomes an advisor dataset: one record
 per item the user rated, with features computed from how *other* users rated
 that item and a label from the user's own satisfaction (4 or above counts as
 trustworthy). Item-level ground truth is the fraction of all ratings at 4 or
-above. The file is read as UTF-8 with a leading byte-order mark dropped; a
-byte that is not UTF-8 aborts naming its line, and a rating written in
-anything but ASCII digits makes its line malformed.
+above. The file is UTF-8 (a leading byte-order mark is dropped), and a rating
+in anything but ASCII digits makes its line malformed.
 """
 
 from __future__ import annotations
 
-import codecs
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -74,16 +72,15 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
     rows: list[tuple[str, str, int]] = []
     skipped = 0
     try:
-        raw = Path(path).read_bytes()
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read ratings file {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the decoder counts its offsets after a byte-order mark
-        line = raw.removeprefix(codecs.BOM_UTF8).count(b"\n", 0, exc.start) + 1
-        byte = exc.object[exc.start]
-        raise IngestError(f"{path}, line {line}: byte {byte:#04x} is not UTF-8 text") from exc
+        # exc.object is the file after any byte-order mark; lines are numbered as
+        # splitlines() below splits them, the bad byte's own line ("x") last
+        before, bad = exc.object[: exc.start].decode(), exc.object[exc.start]
+        number = len((before + "x").splitlines())
+        raise IngestError(f"{path}, line {number}: byte {bad:#04x} is not UTF-8 text") from exc
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -93,15 +90,13 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
             skipped += 1
             continue
         user, item, raw_rating = parts
-        if not raw_rating.isascii():  # int() reads any script's digits: "５" is 5
-            skipped += 1
-            continue
         try:
             rating = int(raw_rating)
         except ValueError:
             skipped += 1
             continue
-        if not 1 <= rating <= 5 or not user or not item:
+        # int() reads the digits of any script ("５" is 5); a rating is ASCII
+        if not raw_rating.isascii() or not 1 <= rating <= 5 or not user or not item:
             skipped += 1
             continue
         rows.append((user, item, rating))

@@ -450,6 +450,10 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     """Write the summary table, plotting series, and machine-readable summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, lines: list[str]) -> None:
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
     config = result.config
 
     summary = {
@@ -464,10 +468,8 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     }
     header = "# " + "  ".join(summary)
     row = "  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in summary.values())
-    (out / "summary.txt").write_text(header + "\n" + row + "\n", encoding="utf-8")
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write("summary.txt", [header, row])
+    write("summary.json", [json.dumps(summary, indent=2, sort_keys=True)])
 
     series_lines = ["iteration,mean_mae,mean_attacker_credibility,mean_honest_credibility"]
     for (iteration, value), attacker, honest in zip(
@@ -476,7 +478,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         series_lines.append(
             f"{iteration},{_fmt(value)},{_fmt(attacker)},{_fmt(honest)}"
         )
-    (out / "series.csv").write_text("\n".join(series_lines) + "\n", encoding="utf-8")
+    write("series.csv", series_lines)
 
     matrix_lines = [
         "item," + ",".join(f"iter_{t + 1}" for t in range(result.per_item_mae.shape[1]))
@@ -484,11 +486,9 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
     for index in range(result.per_item_mae.shape[0]):
         cells = ",".join(_fmt(v) for v in result.per_item_mae[index])
         matrix_lines.append(f"{index},{cells}")
-    (out / "per_item_mae.csv").write_text("\n".join(matrix_lines) + "\n", encoding="utf-8")
+    write("per_item_mae.csv", matrix_lines)
 
     settings = {KEY_OF_FIELD.get(name, name): value for name, value in asdict(config).items()}
-    (out / "config.json").write_text(
-        json.dumps(settings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write("config.json", [json.dumps(settings, indent=2, sort_keys=True)])
     result.credibility_ledger.save(out / "credibility.tsv")
     result.inquiry_ledger.save(out / "inquiries.tsv")

@@ -525,11 +525,14 @@ def test_ingest_drops_a_byte_order_mark(tmp_path, capsys):
     assert written == _ingested(tmp_path / "a")
 
 
-@pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+@pytest.mark.parametrize(
+    "mark, end", [(b"", b"\n"), (codecs.BOM_UTF8, b"\n"), (b"", b"\r\n"), (b"", b"\r")],
+    ids=["plain", "marked", "crlf", "cr"],
+)
 @pytest.mark.parametrize("command, code", [("ingest", 2), ("simulate", 1)])
-def test_ratings_byte_outside_utf8_names_file_and_line(tmp_path, capsys, mark, command, code):
+def test_ratings_byte_outside_utf8_names_file_and_line(tmp_path, capsys, mark, end, command, code):
     ratings = tmp_path / "ratings.txt"
-    ratings.write_bytes(mark + b"u1,i1,5\n\nu2,i1,4\nu1,i2,\xff1\n")
+    ratings.write_bytes(mark + end.join([b"u1,i1,5", b"", b"u2,i1,4", b"u1,i2,\xff1", b""]))
     out = tmp_path / "out"
     argv = ["--ratings", str(ratings), "--out", str(out)]
     if command == "simulate":
