@@ -49,6 +49,8 @@ def test_dataset_rejects_ragged_records():
         AdvisorDataset(("a", "b"), [[1.0]], [1])
     with pytest.raises(ValueError, match="schema has 2 features"):
         AdvisorDataset(("a", "b"), [1.0, 2.0], [1, 0])
+    with pytest.raises(ValueError):
+        AdvisorDataset(("a", "b"), [[1.0, 2.0], [1.0]], [1, 0])
 
 
 @pytest.mark.parametrize("labels", [[1], [1, 0, 1], [[1, 0]]])

@@ -588,5 +588,6 @@ def test_no_file_is_opened_with_the_default_encoding(tmp_path, command):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
