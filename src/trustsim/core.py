@@ -76,7 +76,7 @@ class IdentityIssuer:
         return agent
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Recommendation:
     """One advisor's verdict on a subject.
 
@@ -89,20 +89,9 @@ class Recommendation:
     verdict: Verdict
     credibility_at_issue: Probability
 
-    def __init__(
-        self,
-        advisor: AgentId,
-        subject: AgentId,
-        verdict: Verdict,
-        credibility_at_issue: float,
-    ) -> None:
-        if advisor == subject:
+    def __post_init__(self) -> None:
+        if self.advisor == self.subject:
             raise ValueError("an agent cannot recommend itself")
-        # A round builds one per responder: a single write of the instance
-        # dict costs half of what the frozen init's four setattr calls do.
-        self.__dict__.update(
-            advisor=advisor,
-            subject=subject,
-            verdict=verdict,
-            credibility_at_issue=as_probability(credibility_at_issue),
+        object.__setattr__(
+            self, "credibility_at_issue", as_probability(self.credibility_at_issue)
         )

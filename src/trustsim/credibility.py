@@ -80,20 +80,18 @@ class CredibilityLedger:
         self._scores[advisor] = result
         return result
 
+    def scores(self, agents: Iterable[AgentId]) -> list[Probability]:
+        """Each agent's :meth:`get`, in order, in one call."""
+        scores, initial = self._scores, self.initial_score
+        return [scores.get(agent, initial) for agent in agents]
+
     def batch_update(self, recommendations: Iterable, beliefs: MassFunction) -> None:
         """Update each responding advisor exactly once.
 
         Advisors absent from ``recommendations`` are untouched. Recommendations
         about more than one subject, or a duplicated advisor, abort the whole
         batch before any score changes: one opinion per identity per request.
-        Each advisor gets what :meth:`update` would give it.
-
-        The new score depends only on the old score and the verdict, and once
-        credibility saturates a round's responders share two to four such
-        pairs, so each distinct pair is settled once. Scores that compare
-        equal (-0.0 and 0.0 included) settle to the same bits unless the
-        beliefs tie exactly; a tie leaves every score as it is, bits and all,
-        so it settles nothing.
+        The checked batch is then settled by :meth:`settle`.
         """
         recs = list(recommendations)
         if len({rec.subject for rec in recs}) > 1:
@@ -105,22 +103,47 @@ class CredibilityLedger:
                     f"advisor {rec.advisor.value} answered twice in one round"
                 )
             seen.add(rec.advisor)
+        self.settle([rec.advisor for rec in recs], [rec.verdict for rec in recs], beliefs)
+
+    def settle(
+        self, advisors: Iterable[AgentId], verdicts: Iterable[Verdict], beliefs: MassFunction
+    ) -> None:
+        """Settle each advisor's verdict against ``beliefs``, in order.
+
+        ``advisors`` and ``verdicts`` line up. Each advisor gets what
+        :meth:`update` would give it at that point of the sequence, bit for
+        bit, so a listed advisor's score is written even when it does not
+        change. Nothing is checked here: the engine's request already holds one
+        subject and distinct advisors, and :meth:`batch_update` checks the
+        recommendations it is handed.
+
+        The new score depends only on the old score and the verdict, and once
+        credibility saturates a round's responders share two to four such
+        pairs, so each distinct pair is settled once. Scores that compare
+        equal (-0.0 and 0.0 included) settle to the same bits unless the
+        beliefs tie exactly; a tie leaves every score as it is, bits and all,
+        so it settles nothing.
+        """
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
         scores, initial = self._scores, self.initial_score
-        settled: dict[tuple[float, bool], Probability] = {}
-        for rec in recs:
-            advisor = rec.advisor
+        if trust == distrust:
+            for advisor in advisors:
+                scores[advisor] = scores.get(advisor, initial)
+            return
+        # the settled score of each distinct old score, per verdict
+        trusting: dict[float, Probability] = {}
+        distrusting: dict[float, Probability] = {}
+        trustworthy = Verdict.TRUSTWORTHY  # an enum member lookup costs ten local reads
+        for advisor, verdict in zip(advisors, verdicts):
             score = scores.get(advisor, initial)
-            if trust != distrust:
-                said_trust = rec.verdict is Verdict.TRUSTWORTHY
-                key = (score, said_trust)
-                new = settled.get(key)
-                if new is None:
-                    new = settled[key] = Probability(
-                        _settled_score(score, said_trust, trust, distrust)
-                    )
-                score = new
-            scores[advisor] = score
+            said_trust = verdict is trustworthy
+            settled = trusting if said_trust else distrusting
+            new = settled.get(score)
+            if new is None:
+                new = settled[score] = Probability(
+                    _settled_score(score, said_trust, trust, distrust)
+                )
+            scores[advisor] = new
 
     def save(self, path: str | Path) -> None:
         """Write a flat two-column snapshot (agent id, score)."""

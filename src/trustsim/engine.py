@@ -13,10 +13,11 @@ behavior hides behind a callable is invisible to this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import AgentId, Probability, Recommendation, Verdict
+from .core import AgentId, Probability, Verdict
 from .credibility import CredibilityLedger
 from .dst import (
     VACUOUS,
@@ -27,7 +28,7 @@ from .dst import (
     estimated_trust,
     mass_from_recommendation,
 )
-from .incentives import BudgetExhausted, InquiryLedger
+from .incentives import InquiryLedger
 
 #: An advisor's answer policy: a verdict, or None to abstain.
 Responder = Callable[[AgentId, Sequence[float]], "Verdict | None"]
@@ -58,15 +59,19 @@ class RecommendationRequest:
 class RoundOutcome:
     """What one round produced, including who answered and who did not.
 
-    ``not_polled`` lists advisors skipped because the requester's inquiry
-    budget toward them was exhausted; they are not abstainers, they were
-    never asked.
+    ``responders``, ``answers`` and ``weights`` line up, in polling order:
+    each advisor that answered, its verdict, and the credibility its verdict
+    was weighted by (its score before the round). ``not_polled`` lists
+    advisors skipped because the requester's inquiry budget toward them was
+    exhausted; they are not abstainers, they were never asked.
     """
 
     beliefs: MassFunction
     verdict: Verdict
     estimated_trust: Probability
-    responders: tuple[Recommendation, ...]
+    responders: tuple[AgentId, ...]
+    answers: tuple[Verdict, ...]
+    weights: tuple[Probability, ...]
     abstainers: tuple[AgentId, ...]
     not_polled: tuple[AgentId, ...]
 
@@ -85,41 +90,55 @@ def run_round(
     fused and decided on. If everyone abstains the outcome is pure uncertainty
     with the conservative untrustworthy verdict. Credibility updates apply to
     responders only, using the aggregate the round just produced.
+
+    The round works on plain values: each ledger is read or written in one
+    call per step (spend, read, settle, tally), and no per-responder object is
+    built beyond the masses, which responders with the same verdict and
+    score share.
     """
-    if not request.eligible:
+    eligible = request.eligible
+    if not eligible:
         raise ValueError("cannot run a round with no eligible advisors")
     requester, subject, features = request.requester, request.subject, request.subject_features
-    responders: list[Recommendation] = []
+    try:
+        policies = [population[advisor] for advisor in eligible]
+    except KeyError as exc:
+        raise ValueError(
+            f"eligible advisor {exc.args[0].value} is not in the population"
+        ) from None
+    granted = (
+        inquiries.spend(requester, eligible)
+        if inquiries is not None
+        else itertools.repeat(True)
+    )
+    scores = credibility.scores(eligible)
+    responders: list[AgentId] = []
+    answers: list[Verdict] = []
+    weights: list[Probability] = []
     masses: list[MassFunction] = []
     abstainers: list[AgentId] = []
     not_polled: list[AgentId] = []
     # Responders share a handful of (verdict, credibility) pairs once
     # credibility saturates, so each distinct mass is built once a round.
-    built: dict[tuple[bool, float], MassFunction] = {}
-    for advisor in request.eligible:
-        try:
-            respond = population[advisor]
-        except KeyError:
-            raise ValueError(
-                f"eligible advisor {advisor.value} is not in the population"
-            ) from None
-        if inquiries is not None:
-            try:
-                inquiries.consume(requester, advisor)
-            except BudgetExhausted:
-                not_polled.append(advisor)
-                continue
+    trusting: dict[float, MassFunction] = {}
+    distrusting: dict[float, MassFunction] = {}
+    trustworthy = Verdict.TRUSTWORTHY  # an enum member lookup costs ten local reads
+    for advisor, respond, asked, score in zip(eligible, policies, granted, scores):
+        if not asked:
+            not_polled.append(advisor)
+            continue
         answer = respond(subject, features)
         if answer is None:
             abstainers.append(advisor)
             continue
-        score = credibility.get(advisor)
-        key = (answer is Verdict.TRUSTWORTHY, score)
-        mass = built.get(key)
+        built = trusting if answer is trustworthy else distrusting
+        mass = built.get(score)
         if mass is None:
-            mass = built[key] = mass_from_recommendation(answer, score)
+            mass = built[score] = mass_from_recommendation(answer, score)
+        responders.append(advisor)
+        answers.append(answer)
+        weights.append(score)
         masses.append(mass)
-        responders.append(Recommendation(advisor, subject, answer, score))
 
     if responders:
         try:
@@ -131,17 +150,23 @@ def run_round(
             ) from exc
         verdict = decide(beliefs)
         trust = estimated_trust(beliefs)
-        credibility.batch_update(responders, beliefs)
+        credibility.settle(responders, answers, beliefs)
         if inquiries is not None:
-            for rec in responders:
-                inquiries.record_answer(rec.advisor, requester)
+            inquiries.tally(responders, requester)
     else:
         beliefs = VACUOUS
         verdict = Verdict.UNTRUSTWORTHY
         trust = Probability(0.5)
 
     outcome = RoundOutcome(
-        beliefs, verdict, trust, tuple(responders), tuple(abstainers), tuple(not_polled)
+        beliefs,
+        verdict,
+        trust,
+        tuple(responders),
+        tuple(answers),
+        tuple(weights),
+        tuple(abstainers),
+        tuple(not_polled),
     )
     if trace is not None:
         trace(_trace_record(request, outcome, credibility))
@@ -164,11 +189,13 @@ def _trace_record(
         "subject": request.subject.value,
         "responders": [
             {
-                "advisor": rec.advisor.value,
-                "verdict": rec.verdict.value,
-                "credibility": float(rec.credibility_at_issue),
+                "advisor": advisor.value,
+                "verdict": answer.value,
+                "credibility": float(weight),
             }
-            for rec in outcome.responders
+            for advisor, answer, weight in zip(
+                outcome.responders, outcome.answers, outcome.weights
+            )
         ],
         "abstainers": [agent.value for agent in outcome.abstainers],
         "not_polled": [agent.value for agent in outcome.not_polled],
@@ -180,7 +207,7 @@ def _trace_record(
         "verdict": outcome.verdict.value,
         "estimated_trust": float(outcome.estimated_trust),
         "credibility_after": {
-            str(rec.advisor.value): float(credibility.get(rec.advisor))
-            for rec in outcome.responders
+            str(advisor.value): float(credibility.get(advisor))
+            for advisor in outcome.responders
         },
     }

@@ -1,12 +1,15 @@
 """Ingestion of ratings files in the classic three-column review format.
 
-Input lines are ``user item rating`` (comma- or whitespace-separated) with
-integer ratings from 1 to 5. Each user becomes an advisor dataset: one record
-per item the user rated, with features computed from how *other* users rated
-that item and a label from the user's own satisfaction (4 or above counts as
-trustworthy). Item-level ground truth is the fraction of all ratings at 4 or
-above. The file is UTF-8 (a leading byte-order mark is dropped), and a rating
-in anything but ASCII digits makes its line malformed.
+Input lines are ``user item rating``, fields separated by commas or else by
+runs of ASCII spaces and tabs, and a rating is exactly one ASCII digit from 1
+to 5. Each user becomes an advisor dataset: one record per item the user
+rated, with features computed from how *other* users rated that item and a
+label from the user's own satisfaction (4 or above counts as trustworthy). Item-level ground truth is the fraction of all ratings at 4 or
+above. The file is UTF-8 (a leading byte-order mark is dropped); its lines end
+at ``\n``, ``\r\n`` or a lone ``\r``. Unicode spaces and line separators
+(U+3000, U+0085, U+2028, ``\x1c``, ...) are ordinary characters, so a line
+that relies on them is malformed, as is a rating such as ``+4``, ``0_5``,
+``05`` or the full-width ``５``.
 """
 
 from __future__ import annotations
@@ -62,10 +65,26 @@ class EpinionsData:
     stats: IngestStats
 
 
+#: The blanks that pad and separate fields.
+_BLANKS = " \t"
+
+#: The ratings a file may hold, by their exact text.
+_RATING_OF = {str(rating): rating for rating in range(1, 6)}
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split at ``\n``, ``\r\n`` and a lone ``\r`` only (Python's
+    universal newlines); ``str.splitlines`` also splits at U+0085, U+2028,
+    ``\x1c`` and other separators that a ratings file does not use."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _split_line(line: str) -> list[str]:
+    """The fields of a line stripped of blanks: split at commas when it has
+    one, else at each run of blanks."""
     if "," in line:
-        return [part.strip() for part in line.split(",")]
-    return line.split()
+        return [part.strip(_BLANKS) for part in line.split(",")]
+    return [part for part in line.replace("\t", " ").split(" ") if part]
 
 
 def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
@@ -77,12 +96,12 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
         raise IngestError(f"cannot read ratings file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # exc.object is the file after any byte-order mark; lines are numbered as
-        # splitlines() below splits them, the bad byte's own line ("x") last
+        # _lines() below splits them, the bad byte's own line ("x") last
         before, bad = exc.object[: exc.start].decode(), exc.object[exc.start]
-        number = len((before + "x").splitlines())
+        number = len(_lines(before + "x"))
         raise IngestError(f"{path}, line {number}: byte {bad:#04x} is not UTF-8 text") from exc
-    for line in text.splitlines():
-        line = line.strip()
+    for line in _lines(text):
+        line = line.strip(_BLANKS)
         if not line or line.startswith("#"):
             continue
         parts = _split_line(line)
@@ -90,13 +109,8 @@ def _parse_ratings(path: str | Path) -> tuple[list[tuple[str, str, int]], int]:
             skipped += 1
             continue
         user, item, raw_rating = parts
-        try:
-            rating = int(raw_rating)
-        except ValueError:
-            skipped += 1
-            continue
-        # int() reads the digits of any script ("５" is 5); a rating is ASCII
-        if not raw_rating.isascii() or not 1 <= rating <= 5 or not user or not item:
+        rating = _RATING_OF.get(raw_rating)
+        if rating is None or not user or not item:
             skipped += 1
             continue
         rows.append((user, item, rating))

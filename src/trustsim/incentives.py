@@ -68,6 +68,32 @@ class InquiryLedger:
         self._answered[key] = count
         return count
 
+    def spend(self, asker: AgentId, providers: Iterable[AgentId]) -> list[bool]:
+        """Spend one inquiry toward each provider in turn, in one call.
+
+        Returns, per provider, whether an inquiry was spent: the same as
+        calling :meth:`consume` for each in order, with ``False`` where it
+        would raise :class:`BudgetExhausted`. An exhausted pair is left as it
+        is, so a lazy initial budget of 0 stays unwritten.
+        """
+        budget, initial = self._budget, self.initial_budget
+        granted = []
+        for provider in providers:
+            key = (asker, provider)
+            remaining = budget.get(key, initial)
+            if remaining > 0:
+                budget[key] = remaining - 1
+            granted.append(remaining > 0)
+        return granted
+
+    def tally(self, answerers: Iterable[AgentId], requester: AgentId) -> None:
+        """One answer of each answerer to ``requester``, in one call: the same
+        as calling :meth:`record_answer` for each in order."""
+        answered = self._answered
+        for answerer in answerers:
+            key = (answerer, requester)
+            answered[key] = answered.get(key, 0) + 1
+
     def replenish(
         self,
         credibility: Mapping[AgentId, float],

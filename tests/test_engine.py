@@ -124,7 +124,7 @@ def test_order_invariance():
     assert first.beliefs.trust == pytest.approx(second.beliefs.trust, abs=1e-9)
     assert first.beliefs.distrust == pytest.approx(second.beliefs.distrust, abs=1e-9)
     assert first.verdict == second.verdict
-    assert {r.advisor for r in first.responders} == {r.advisor for r in second.responders}
+    assert set(first.responders) == set(second.responders)
 
 
 def test_non_responders_keep_ledgers_untouched():
@@ -143,13 +143,13 @@ def test_non_responders_keep_ledgers_untouched():
 
 def test_masses_use_credibility_snapshot_from_collection_time():
     # the first advisor's update must not leak into any mass this round;
-    # every credibility_at_issue equals the pre-round ledger value
+    # every weight equals the pre-round ledger value
     a, b = AgentId(1), AgentId(2)
     ledger = CredibilityLedger()
     ledger.set(a, 0.8)
     ledger.set(b, 0.6)
     outcome = run_round(make_request([a, b]), {a: const(T), b: const(T)}, ledger)
-    assert [float(r.credibility_at_issue) for r in outcome.responders] == [0.8, 0.6]
+    assert [float(weight) for weight in outcome.weights] == [0.8, 0.6]
     assert ledger.get(a) == 1.0
 
 
@@ -165,7 +165,7 @@ def test_exhausted_budget_skips_without_abstaining():
         ledger,
         inquiries,
     )
-    assert [r.advisor for r in outcome.responders] == [a]
+    assert outcome.responders == (a,)
     assert outcome.not_polled == (b,)
     assert outcome.abstainers == ()
 
@@ -232,6 +232,6 @@ def test_outcome_partitions_eligible():
         CredibilityLedger(),
         inquiries,
     )
-    polled = {r.advisor for r in outcome.responders} | set(outcome.abstainers)
+    polled = set(outcome.responders) | set(outcome.abstainers)
     assert polled | set(outcome.not_polled) == {a, b, c}
     assert polled.isdisjoint(outcome.not_polled)

@@ -1,3 +1,5 @@
+import codecs
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +93,22 @@ def test_empty_file_rejected(tmp_path):
 def test_unreadable_file_rejected(tmp_path):
     with pytest.raises(IngestError):
         ingest_epinions(tmp_path / "missing.txt")
+
+
+#: Five lines as ``str.splitlines`` reads them, none a rating: a signed
+#: rating, one with an underscore, fields split by U+3000 and two ratings
+#: joined by U+0085 (NEL).
+PROBE = "u1 i1 +4\nu2 i1 0_5\nu3\u3000i1\u30005\nu4 i1 3\u0085u5 i1 2\n"
+
+
+def test_probe_file_has_no_rating(tmp_path):
+    path = tmp_path / "ratings.txt"
+    path.write_text(PROBE, encoding="utf-8")
+    with pytest.raises(IngestError, match="no usable ratings"):
+        ingest_epinions(path)
+    # among 36 valid lines its four lines are skipped, and they name nobody
+    path.write_text(TOY * 12 + PROBE, encoding="utf-8")
+    assert ingest_epinions(path).stats.report() == "2 users, 2 items, 36 reviews, 4 skipped"
 
 
 def test_excessive_skip_ratio_aborts(tmp_path):
@@ -187,3 +205,121 @@ def test_a_double_rating_is_left_out_whole(tmp_path):
     # b sees both of a's ratings
     assert data.datasets["b"].values.tolist() == [[3.0, 2.0, 4.0]]
     assert data.item_features["x"] == (8 / 3, 3.0, pytest.approx(26 / 9))
+
+
+# ---------------------------------------------------------------------------
+# the ratings-file contract against a small oracle parser
+# ---------------------------------------------------------------------------
+
+USERS = ("u0", "u1", "u2", "\u00fc3")  # few ids, so pairs repeat; one not ASCII
+ITEMS = ("i0", "i1", "i2")
+PADDING = st.text(alphabet=" \t", max_size=2)
+GAP = st.text(alphabet=" \t", min_size=1, max_size=2)
+RATINGS = st.sampled_from("12345")
+NOT_RATINGS = st.sampled_from(["0", "6", "+4", "0_5", "05", "\uff15", "4.0", "\u0663"])
+UNICODE_SPACES = st.sampled_from(["\u3000", "\u00a0", "\u2003"])
+LINE_BREAKS_ELSEWHERE = st.sampled_from(
+    ["\u0085", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e", "\x0b", "\x0c"]
+)
+
+
+@st.composite
+def fields(draw, rating):
+    """``user item rating`` separated by commas or by blanks, padded with blanks."""
+    user, item = draw(st.sampled_from(USERS)), draw(st.sampled_from(ITEMS))
+    if draw(st.booleans()):
+        comma = draw(PADDING) + "," + draw(PADDING)
+        body = user + comma + item + comma + draw(rating)
+    else:
+        body = user + draw(GAP) + item + draw(GAP) + draw(rating)
+    return draw(PADDING) + body + draw(PADDING)
+
+
+@st.composite
+def kept_line(draw):
+    """A rating, a comment or a blank line."""
+    kind = draw(st.integers(0, 9))
+    if kind < 8:
+        return draw(fields(RATINGS))
+    if kind == 8:
+        return draw(PADDING) + "#" + draw(st.text(alphabet="ab ,5\t", max_size=6))
+    return draw(PADDING)
+
+
+@st.composite
+def malformed_line(draw):
+    """A line that is not a rating, though it may look like one."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(fields(NOT_RATINGS))
+    if kind == 1:  # fields split by the ideographic space
+        return "\u3000".join(draw(st.sampled_from(group)) for group in (USERS, ITEMS, "12345"))
+    if kind == 2:  # two ratings on one line, split by a separator other than a line end
+        return draw(fields(RATINGS)) + draw(LINE_BREAKS_ELSEWHERE) + draw(fields(RATINGS))
+    if kind == 3:  # a Unicode space after or before the rating digit
+        line, space = draw(fields(RATINGS)).rstrip(" \t"), draw(UNICODE_SPACES)
+        return line + space if draw(st.booleans()) else line[:-1] + space + line[-1]
+    return draw(st.sampled_from(USERS)) + "," + draw(st.sampled_from(ITEMS))
+
+
+@st.composite
+def ratings_file(draw):
+    """(file bytes, the 1-based line holding a byte outside UTF-8, or None)."""
+    text_lines = draw(st.lists(kept_line(), max_size=30))
+    text_lines += draw(st.lists(malformed_line(), max_size=3))
+    text_lines = draw(st.permutations(text_lines)) or [""]
+    lines = [line.encode("utf-8") for line in text_lines]
+    bad_line = None
+    if draw(st.integers(0, 4)) == 0:
+        bad_line = draw(st.integers(1, len(lines)))
+        lines[bad_line - 1] += draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"]))
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    data = end.join(lines) + draw(st.sampled_from([b"", end]))
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    return data, bad_line
+
+
+COMMA_FIELDS = re.compile(r"[ \t]*([^,]*?)[ \t]*,[ \t]*([^,]*?)[ \t]*,[ \t]*([1-5])[ \t]*")
+BLANK_FIELDS = re.compile(r"[ \t]*([^ \t,]+)[ \t]+([^ \t,]+)[ \t]+([1-5])[ \t]*")
+SKIPPED_LINE = re.compile(r"[ \t]*(#.*)?", re.DOTALL)
+
+
+def oracle_parse(text):
+    """(user, item) of each rating and the count of malformed lines."""
+    rows, skipped = [], 0
+    for line in re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff")):
+        if SKIPPED_LINE.fullmatch(line):
+            continue
+        match = (COMMA_FIELDS if "," in line else BLANK_FIELDS).fullmatch(line)
+        if match and match[1] and match[2]:
+            rows.append((match[1], match[2]))
+        else:
+            skipped += 1
+    return rows, skipped
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratings_file())
+def test_ingest_keeps_the_ratings_file_contract(case):
+    data, bad_line = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "ratings.txt"
+        path.write_bytes(data)
+        if bad_line is not None:
+            with pytest.raises(IngestError) as failure:
+                ingest_epinions(path)
+            assert str(failure.value).startswith(f"{path}, line {bad_line}: byte 0x")
+            return
+        rows, skipped = oracle_parse(data.decode("utf-8"))
+        usable = rows and skipped / (len(rows) + skipped) <= 0.1
+        if not usable:
+            with pytest.raises(IngestError) as failure:
+                ingest_epinions(path)
+            assert str(failure.value).startswith(f"{path}: ")
+            return
+        stats = ingest_epinions(path).stats
+    users, items = {user for user, _ in rows}, {item for _, item in rows}
+    assert (stats.users, stats.items, stats.reviews, stats.skipped) == (
+        len(users), len(items), len(rows), skipped
+    )

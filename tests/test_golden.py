@@ -4,13 +4,16 @@ run, pinned by sha256.
 Each simulate case runs the CLI into a fresh directory and hashes the files
 that are a pure function of the scenario: the summaries, the series, the
 per-item error matrix and the two ledger snapshots. ``config.json`` is left
-out because it echoes the ratings file's absolute path, and ``trace.jsonl``
-because its schema is allowed to change; its content is covered by the engine
-tests. The ingest case hashes every file it writes: ``items.csv``,
-``stats.txt`` and one ``datasets/user_<id>.csv`` per user.
+out because it echoes the ratings file's absolute path. ``trace.jsonl`` is
+pinned for three cases (``TRACE_DIGESTS``): ``sybil``, ``sybil-starved``,
+whose exhausted budgets fill the ``not_polled`` lists, and
+``ratings-whitewashing``, which runs on an ingested ratings file. The ingest
+case hashes every file it writes: ``items.csv``, ``stats.txt`` and one
+``datasets/user_<id>.csv`` per user.
 
 A change meant to keep every output bit must leave these digests as they are.
-A change that alters outputs on purpose re-records them and says why.
+A change that alters outputs on purpose re-records them and says why; so does
+a change to the trace schema, which moves only the trace digests.
 """
 
 import hashlib
@@ -100,6 +103,13 @@ DIGESTS = {
     },
 }
 
+#: ``trace.jsonl`` of three cases; a trace schema change re-records them.
+TRACE_DIGESTS = {
+    "sybil": "b62d187f3481ea4f62fb6494c536dac6434e2b8e7ac6f15364647f6f0800de9b",
+    "sybil-starved": "e8472975754e86f7cee921f2f485b4d50911a2befb1258280d87dd3af5d192fd",
+    "ratings-whitewashing": "ce33257d4d32f2d5aca4f26c42bc1cc34f35f569de12171f76cea21f4dea3d3d",
+}
+
 #: Every file ``trustsim ingest`` writes for ``write_ratings``' file.
 INGEST_DIGESTS = {
     "datasets/user_u0.csv": "00c3948357872f7a052e50a318b330bfb1e5a00b6adc95bc29227524ab3b3053",
@@ -143,15 +153,19 @@ def digests_of(tmp_path, case):
         write_ratings(ratings)
         argv += ["--ratings", str(ratings)]
     assert main(argv) == 0
+    names = GOLDEN_FILES + (("trace.jsonl",) if case in TRACE_DIGESTS else ())
     return {
         name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
-        for name in GOLDEN_FILES
+        for name in names
     }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_the_recorded_digests(tmp_path, case):
-    assert digests_of(tmp_path, case) == DIGESTS[case]
+    expected = dict(DIGESTS[case])
+    if case in TRACE_DIGESTS:
+        expected["trace.jsonl"] = TRACE_DIGESTS[case]
+    assert digests_of(tmp_path, case) == expected
 
 
 def test_ingest_outputs_match_the_recorded_digests(tmp_path):

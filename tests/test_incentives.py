@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustsim.core import AgentId
 from trustsim.incentives import BudgetExhausted, InquiryLedger
@@ -175,3 +177,65 @@ def test_snapshot_lists_ids_in_numeric_order(tmp_path):
         ["answered", "100", "2"],
         ["answered", "100", "10"],
     ]
+
+
+# ---------------------------------------------------------------------------
+# the round's batch calls against the one-pair calls they stand for
+# ---------------------------------------------------------------------------
+
+IDS = st.integers(0, 5).map(AgentId)
+
+
+def ledgers_after(initial, asked):
+    """Two equal ledgers on which each (asker, provider) pair of ``asked`` has
+    been consumed once where budget allowed."""
+    pair = InquiryLedger(initial), InquiryLedger(initial)
+    for ledger in pair:
+        for asker, provider in asked:
+            try:
+                ledger.consume(asker, provider)
+            except BudgetExhausted:
+                pass
+    return pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.integers(0, 3),
+    asked=st.lists(st.tuples(IDS, IDS), max_size=10),
+    asker=IDS,
+    providers=st.lists(IDS, max_size=12),
+)
+def test_spend_equals_a_sequence_of_consume_calls(initial, asked, asker, providers):
+    batch, single = ledgers_after(initial, asked)
+    granted = batch.spend(asker, providers)
+    expected = []
+    for provider in providers:
+        try:
+            single.consume(asker, provider)
+        except BudgetExhausted:
+            expected.append(False)
+        else:
+            expected.append(True)
+    assert granted == expected
+    # exhausted pairs are left unwritten, as consume leaves them
+    assert vars(batch) == vars(single)
+    assert list(vars(batch)["_budget"]) == list(vars(single)["_budget"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    asked=st.lists(st.tuples(IDS, IDS), max_size=10),
+    answerers=st.lists(IDS, max_size=12),
+    requester=IDS,
+)
+def test_tally_equals_a_sequence_of_record_answer_calls(asked, answerers, requester):
+    batch, single = ledgers_after(2, asked)
+    for answerer, asker in asked:
+        batch.record_answer(answerer, asker)
+        single.record_answer(answerer, asker)
+    batch.tally(answerers, requester)
+    for answerer in answerers:
+        single.record_answer(answerer, requester)
+    assert vars(batch) == vars(single)
+    assert list(vars(batch)["_answered"]) == list(vars(single)["_answered"])
