@@ -157,60 +157,9 @@ def test_abstainers_bit_identical_after_batch():
 
 
 # ---------------------------------------------------------------------------
-# settle, the kernel the round and batch_update share, against update
+# settle, the kernel the round and batch_update share (against batch_update
+# and sequential updates: tests/test_round_path.py)
 # ---------------------------------------------------------------------------
-
-SCORES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-
-
-@st.composite
-def beliefs(draw):
-    """Fused beliefs, exact trust/distrust ties (signed zeros included) half the time."""
-    if draw(st.booleans()):
-        trust = distrust = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.5)))
-    else:
-        trust = draw(st.floats(0.0, 1.0))
-        distrust = draw(st.floats(0.0, 1.0 - trust))
-    return MassFunction(trust, distrust, max(0.0, 1.0 - trust - distrust))
-
-
-def bits(ledger):
-    """Every entry in insertion order, each score as its type and exact bits."""
-    return [(agent, type(score), score.hex()) for agent, score in ledger.as_map().items()]
-
-
-def ledger_with(initial, preset):
-    ledger = CredibilityLedger(initial)
-    for agent, score in preset.items():
-        ledger.set(agent, score)
-    return ledger
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    initial=SCORES,
-    preset=st.dictionaries(st.integers(0, 5).map(AgentId), SCORES, max_size=6),
-    answers=st.lists(
-        st.tuples(st.integers(0, 7).map(AgentId), st.sampled_from(Verdict)), max_size=12
-    ),
-    fused=beliefs(),
-)
-def test_settle_equals_batch_update_and_sequential_updates(initial, preset, answers, fused):
-    advisors = [advisor for advisor, _ in answers]
-    verdicts = [verdict for _, verdict in answers]
-    settled = ledger_with(initial, preset)
-    settled.settle(advisors, verdicts, fused)
-    # one update per answer, in order; an advisor listed twice is settled twice
-    sequential = ledger_with(initial, preset)
-    for advisor, verdict in answers:
-        sequential.update(advisor, verdict, fused)
-    assert bits(settled) == bits(sequential)
-    if len(set(advisors)) == len(advisors):
-        batched = ledger_with(initial, preset)
-        batched.batch_update(
-            [Recommendation(a, AgentId(99), v, settled.initial_score) for a, v in answers], fused
-        )
-        assert bits(settled) == bits(batched)
 
 
 def test_settle_shares_one_result_between_equal_scores():
@@ -220,16 +169,6 @@ def test_settle_shares_one_result_between_equal_scores():
     ledger.settle([AgentId(1), AgentId(2)], [Verdict.UNTRUSTWORTHY] * 2, triple(0.75, 0.25))
     assert ledger.get(AgentId(1)) is ledger.get(AgentId(2))
     assert ledger.get(AgentId(1)).hex() == (0.25).hex()
-
-
-def test_a_tie_settles_nothing_but_writes_every_advisor():
-    ledger = CredibilityLedger(initial_score=-0.0)
-    ledger.set(AgentId(1), 0.3)
-    ledger.settle([AgentId(1), AgentId(2)], [Verdict.TRUSTWORTHY] * 2, triple(0.25, 0.25))
-    assert bits(ledger) == [
-        (AgentId(1), Probability, (0.3).hex()),
-        (AgentId(2), Probability, (-0.0).hex()),
-    ]
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -217,8 +217,25 @@ def test_total_conflict_still_raised_by_the_float_fold():
 
 
 # ---------------------------------------------------------------------------
-# batch_update == one update per advisor, bit for bit
+# batch_update == settle == one update per advisor, bit for bit
 # ---------------------------------------------------------------------------
+
+
+def ledger_bits(ledger):
+    """Every entry in insertion order, each score as its type and exact bits."""
+    return [(agent, type(score), float(score).hex()) for agent, score in ledger.as_map().items()]
+
+
+def settle_with_repeats(settled, sequential, recs, again, beliefs):
+    """Settle ``recs`` and then the repeated indices ``again`` in one call;
+    ``sequential`` has already had ``recs`` and updates the repeats in turn."""
+    repeated = [recs[i % len(recs)] for i in again] if recs else []
+    for rec in repeated:
+        sequential.update(rec.advisor, rec.verdict, beliefs)
+    answers = recs + repeated
+    settled.settle([r.advisor for r in answers], [r.verdict for r in answers], beliefs)
+    assert ledger_bits(settled) == ledger_bits(sequential)
+    assert all(type(score) is Probability for score in settled.as_map().values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -229,25 +246,25 @@ def test_total_conflict_still_raised_by_the_float_fold():
     ),
     free_masses(),
     unit,
+    st.lists(st.integers(0, 29), max_size=5),
 )
-def test_batch_update_equals_sequential_updates(advisors, beliefs, initial):
+def test_batch_update_equals_sequential_updates(advisors, beliefs, initial, again):
     # the credibility a recommendation was issued at need not be the ledger's
-    # score any more; both updates read the ledger
-    batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
+    # score any more; both updates read the ledger. settle, which takes no
+    # Recommendation, also takes an advisor twice: it settles it twice
+    ledgers = batch, settled, sequential = [CredibilityLedger(initial) for _ in range(3)]
     recs = []
     for value, (verdict, score, issued_at) in enumerate(advisors):
         agent = AgentId(value)
         if score is not None:
-            batch.set(agent, score)
-            sequential.set(agent, score)
+            for ledger in ledgers:
+                ledger.set(agent, score)
         recs.append(Recommendation(agent, AgentId(10_000), verdict, issued_at))
     batch.batch_update(recs, beliefs)
     for rec in recs:
         sequential.update(rec.advisor, rec.verdict, beliefs)
-    assert list(batch.as_map()) == list(sequential.as_map())
-    assert [float(s).hex() for s in batch.as_map().values()] == [
-        float(s).hex() for s in sequential.as_map().values()
-    ]
+    assert ledger_bits(batch) == ledger_bits(sequential)
+    settle_with_repeats(settled, sequential, recs, again, beliefs)
 
 
 shared_scores = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, CREDIBILITY_CAP, 1.0])
@@ -268,26 +285,29 @@ tied_or_free = st.one_of(
     ),
     tied_or_free,
     shared_scores,
+    st.lists(st.integers(0, 59), max_size=5),
 )
-@example([(T, 0.0), (T, -0.0), (N, -0.0)], MassFunction(0.5, 0.5, 0.0), 0.5)
-def test_batch_update_with_shared_scores_equals_sequential_updates(advisors, beliefs, initial):
+@example([(T, 0.0), (T, -0.0), (N, -0.0)], MassFunction(0.5, 0.5, 0.0), 0.5, [])
+@example([(T, None), (N, 0.3)], MassFunction(0.25, 0.25, 0.5), -0.0, [0, 1])
+def test_batch_update_with_shared_scores_equals_sequential_updates(
+    advisors, beliefs, initial, again
+):
     # many responders share a handful of scores, as in a saturated round;
-    # -0.0 and 0.0 are equal keys but must keep their own bits on a tie
-    batch, sequential = CredibilityLedger(initial), CredibilityLedger(initial)
+    # -0.0 and 0.0 are equal keys but must keep their own bits on a tie, and a
+    # tie still writes an advisor the ledger did not hold
+    ledgers = batch, settled, sequential = [CredibilityLedger(initial) for _ in range(3)]
     recs = []
     for value, (verdict, score) in enumerate(advisors):
         agent = AgentId(value)
         if score is not None:
-            batch.set(agent, score)
-            sequential.set(agent, score)
+            for ledger in ledgers:
+                ledger.set(agent, score)
         recs.append(Recommendation(agent, AgentId(10_000), verdict, 0.5))
     batch.batch_update(recs, beliefs)
     for rec in recs:
         sequential.update(rec.advisor, rec.verdict, beliefs)
-    assert list(batch.as_map()) == list(sequential.as_map())
-    assert [float(s).hex() for s in batch.as_map().values()] == [
-        float(s).hex() for s in sequential.as_map().values()
-    ]
+    assert ledger_bits(batch) == ledger_bits(sequential)
+    settle_with_repeats(settled, sequential, recs, again, beliefs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, one run at a time; which side goes first
-switches from pair to pair. The workloads and the run length default to those
-``BENCHMARK.json`` declares. Per pair and workload it prints the five
-end-to-end metrics, the number of repetitions (scenarios) the run fitted and
-the median over those repetitions of each one's own ``round_ms_p50`` (read
-from the run's ``.perfbench_out`` result file), each beside its change/parent
-ratio. A summary per workload follows: each side's median and quartiles, the
+switches from pair to pair. The run length T is the ``run_seconds`` that
+``BENCHMARK.json`` declares, and the workloads default to those it lists. Per
+pair and workload it prints the five end-to-end metrics, the number of
+repetitions (scenarios) the run fitted and the median over those repetitions
+of each one's own ``setup_s`` and ``round_ms_p50`` (read from the run's
+``.perfbench_out`` result file), each beside its change/parent ratio. The
+per-repetition medians do not move with the repetition count, so they tell a
+change in the work itself from a run that merely fitted more repetitions. A summary per workload follows: each side's median and quartiles, the
 ratio of the medians and in how many pairs the change read lower.
 
 The script only starts the benchmark and reads what it wrote; it imports
@@ -29,13 +31,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("scenario_s", "setup_s", "round_ms_p50", "round_ms_tail", "peak_rss_mb")
 #: Read from the result file, not from the run's printed metrics.
-REPETITIONS, REP_ROUND_P50 = "repetitions", "rep_round_ms_p50"
-COLUMNS = METRICS + (REPETITIONS, REP_ROUND_P50)
+REPETITIONS, REP_SETUP, REP_ROUND_P50 = "repetitions", "rep_setup_s", "rep_round_ms_p50"
+COLUMNS = METRICS + (REPETITIONS, REP_SETUP, REP_ROUND_P50)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One benchmark run in ``checkout``: its metrics, repetition count and
-    per-repetition median round_ms_p50; exits when the run fails or is wrong."""
+    per-repetition medians; exits when the run fails or is wrong."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -51,6 +53,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     reps = json.loads(result.read_text(encoding="utf-8"))["repetitions"]
     values = {name: summary["metrics"][name]["value"] for name in METRICS}
     values[REPETITIONS] = len(reps)
+    values[REP_SETUP] = statistics.median(rep["setup_s"] for rep in reps)
     values[REP_ROUND_P50] = statistics.median(rep["round_ms_p50"] for rep in reps)
     return values
 
@@ -71,8 +74,8 @@ def main() -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=declared["run_seconds"])
     args = parser.parse_args()
+    seconds = declared["run_seconds"]
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, dict[str, list[dict]]] = {w: {"parent": [], "change": []} for w in workloads}
@@ -80,7 +83,7 @@ def main() -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for workload in workloads:
-            got = {side: run_once(sides[side], workload, args.seed, args.seconds) for side in order}
+            got = {side: run_once(sides[side], workload, args.seed, seconds) for side in order}
             for side in order:
                 runs[workload][side].append(got[side])
             cells = "  ".join(
@@ -92,7 +95,7 @@ def main() -> int:
                   flush=True)
 
     for workload in workloads:
-        print(f"{workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s a run")
+        print(f"{workload}: {args.pairs} pairs, seed {args.seed}, {seconds:g} s a run")
         for name in COLUMNS:
             parent = [run[name] for run in runs[workload]["parent"]]
             change = [run[name] for run in runs[workload]["change"]]
