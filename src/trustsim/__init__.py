@@ -12,7 +12,6 @@ from .core import (
     AgentId,
     IdentityIssuer,
     Probability,
-    Recommendation,
     Verdict,
 )
 from .dst import (
@@ -25,7 +24,7 @@ from .dst import (
     estimated_trust,
     mass_from_recommendation,
 )
-from .credibility import CredibilityLedger, DuplicateRecommendation
+from .credibility import CredibilityLedger
 from .incentives import BudgetExhausted, InquiryLedger
 from .tree import SPLIT_BACKEND, DecisionTree, EmptyDataset
 from .advisor import (
@@ -63,7 +62,6 @@ __all__ = [
     "ConfigError",
     "CredibilityLedger",
     "DecisionTree",
-    "DuplicateRecommendation",
     "EmptyDataset",
     "EmptyEvidence",
     "IdentityIssuer",
@@ -71,7 +69,6 @@ __all__ = [
     "InquiryLedger",
     "MassFunction",
     "Probability",
-    "Recommendation",
     "RecommendationRequest",
     "RoundFailure",
     "RoundOutcome",

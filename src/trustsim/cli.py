@@ -23,6 +23,7 @@ from .simulate import (
     KEY_OF_FIELD,
     SETTING_TYPES,
     ScenarioConfig,
+    format_float,
     run_scenario,
     write_outputs,
 )
@@ -186,10 +187,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             "  ".join(
                 [
                     label,
-                    format(summary["mae_mean"], ".10g"),
-                    format(summary["mae_std"], ".10g"),
-                    format(summary["mae_plain_mean"], ".10g"),
-                    format(summary["mae_plain_std"], ".10g"),
+                    format_float(summary["mae_mean"]),
+                    format_float(summary["mae_std"]),
+                    format_float(summary["mae_plain_mean"]),
+                    format_float(summary["mae_plain_std"]),
                     run_id,
                 ]
             )

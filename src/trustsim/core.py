@@ -1,4 +1,4 @@
-"""Shared vocabulary for the trust engine: identities, verdicts, recommendations.
+"""Shared vocabulary for the trust engine: identities, verdicts, probabilities.
 
 Everything here is an immutable value object, safe to share between threads
 and to use as dictionary keys. Identity issuance goes through a single
@@ -8,7 +8,6 @@ and to use as dictionary keys. Identity issuance goes through a single
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -44,9 +43,11 @@ class Verdict(Enum):
     UNTRUSTWORTHY = "N"
 
     def inverted(self) -> "Verdict":
-        if self is Verdict.TRUSTWORTHY:
-            return Verdict.UNTRUSTWORTHY
-        return Verdict.TRUSTWORTHY
+        return _UNTRUSTWORTHY if self is _TRUSTWORTHY else _TRUSTWORTHY
+
+
+# read through the class, a member costs about ten times a module global
+_TRUSTWORTHY, _UNTRUSTWORTHY = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
 
 class AgentId(NamedTuple):
@@ -74,24 +75,3 @@ class IdentityIssuer:
         agent = AgentId(self._next)
         self._next += 1
         return agent
-
-
-@dataclass(frozen=True)
-class Recommendation:
-    """One advisor's verdict on a subject.
-
-    ``credibility_at_issue`` is the credibility the requesting system held for
-    the advisor at collection time; aggregation weighs the verdict by it.
-    """
-
-    advisor: AgentId
-    subject: AgentId
-    verdict: Verdict
-    credibility_at_issue: Probability
-
-    def __post_init__(self) -> None:
-        if self.advisor == self.subject:
-            raise ValueError("an agent cannot recommend itself")
-        object.__setattr__(
-            self, "credibility_at_issue", as_probability(self.credibility_at_issue)
-        )

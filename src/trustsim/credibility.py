@@ -6,6 +6,9 @@ advisors gain the winning belief (capped at 1), disagreeing advisors move to
 the absolute difference between their score and the losing belief. Exact
 belief ties update nobody. Scores live in [0, 1] and newcomers start at the
 ledger's initial score without ever being written implicitly.
+
+The rule is applied in one place, :meth:`CredibilityLedger.batch_update`;
+:meth:`CredibilityLedger.update` is its one-element case.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from typing import Iterable
 
 from .core import AgentId, Probability, Verdict
 from .dst import MassFunction
-
-
-class DuplicateRecommendation(ValueError):
-    """The same advisor appeared twice in one aggregation round."""
 
 
 def _settled_score(score: float, said_trust: bool, trust: float, distrust: float) -> float:
@@ -68,54 +67,27 @@ class CredibilityLedger:
         return dict(self._scores)
 
     def update(self, advisor: AgentId, given: Verdict, beliefs: MassFunction) -> Probability:
-        """Apply one convergence/divergence update and return the new score."""
-        result = Probability(
-            _settled_score(
-                float(self.get(advisor)),
-                given is Verdict.TRUSTWORTHY,
-                float(beliefs.trust),
-                float(beliefs.distrust),
-            )
-        )
-        self._scores[advisor] = result
-        return result
+        """Settle one advisor's verdict and return its new score: the
+        one-element case of :meth:`batch_update`."""
+        self.batch_update((advisor,), (given,), beliefs)
+        return self._scores[advisor]
 
     def scores(self, agents: Iterable[AgentId]) -> list[Probability]:
         """Each agent's :meth:`get`, in order, in one call."""
         scores, initial = self._scores, self.initial_score
         return [scores.get(agent, initial) for agent in agents]
 
-    def batch_update(self, recommendations: Iterable, beliefs: MassFunction) -> None:
-        """Update each responding advisor exactly once.
-
-        Advisors absent from ``recommendations`` are untouched. Recommendations
-        about more than one subject, or a duplicated advisor, abort the whole
-        batch before any score changes: one opinion per identity per request.
-        The checked batch is then settled by :meth:`settle`.
-        """
-        recs = list(recommendations)
-        if len({rec.subject for rec in recs}) > 1:
-            raise ValueError("one batch must target a single subject")
-        seen: set[AgentId] = set()
-        for rec in recs:
-            if rec.advisor in seen:
-                raise DuplicateRecommendation(
-                    f"advisor {rec.advisor.value} answered twice in one round"
-                )
-            seen.add(rec.advisor)
-        self.settle([rec.advisor for rec in recs], [rec.verdict for rec in recs], beliefs)
-
-    def settle(
+    def batch_update(
         self, advisors: Iterable[AgentId], verdicts: Iterable[Verdict], beliefs: MassFunction
     ) -> None:
         """Settle each advisor's verdict against ``beliefs``, in order.
 
-        ``advisors`` and ``verdicts`` line up. Each advisor gets what
-        :meth:`update` would give it at that point of the sequence, bit for
-        bit, so a listed advisor's score is written even when it does not
-        change. Nothing is checked here: the engine's request already holds one
-        subject and distinct advisors, and :meth:`batch_update` checks the
-        recommendations it is handed.
+        ``advisors`` and ``verdicts`` line up. An advisor listed twice is
+        settled twice, from the score its first settling left, and every listed
+        advisor's score is written even when it does not change. Advisors not
+        listed are untouched. Nothing is checked here: a round's
+        :class:`~trustsim.engine.RecommendationRequest` already holds one
+        subject and distinct advisors, none of them the subject or requester.
 
         The new score depends only on the old score and the verdict, and once
         credibility saturates a round's responders share two to four such

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Probability, Verdict, as_probability
+from .core import _TRUSTWORTHY, _UNTRUSTWORTHY, Probability, Verdict, as_probability
 
 # Tolerance for the "components sum to one" invariant.
 SUM_TOLERANCE = 1e-9
@@ -78,7 +78,7 @@ def mass_from_recommendation(verdict: Verdict, credibility: float) -> MassFuncti
     """
     lam = min(float(as_probability(credibility)), CREDIBILITY_CAP)
     backed, rest = Probability(lam), Probability(1.0 - lam)
-    if verdict is Verdict.TRUSTWORTHY:
+    if verdict is _TRUSTWORTHY:
         return MassFunction(backed, _ZERO, rest)
     return MassFunction(_ZERO, backed, rest)
 
@@ -185,8 +185,8 @@ def decide(beliefs: MassFunction) -> Verdict:
     Ties fall to untrustworthy, the conservative outcome for a trust decision.
     """
     if beliefs.trust > beliefs.distrust:
-        return Verdict.TRUSTWORTHY
-    return Verdict.UNTRUSTWORTHY
+        return _TRUSTWORTHY
+    return _UNTRUSTWORTHY
 
 
 def estimated_trust(beliefs: MassFunction) -> Probability:

@@ -92,9 +92,10 @@ def run_round(
     responders only, using the aggregate the round just produced.
 
     The round works on plain values: each ledger is read or written in one
-    call per step (spend, read, settle, tally), and no per-responder object is
-    built beyond the masses, which responders with the same verdict and
-    score share.
+    batch call per step (``InquiryLedger.spend``, ``CredibilityLedger.scores``,
+    ``CredibilityLedger.batch_update``, ``InquiryLedger.tally``), and no
+    per-responder object is built beyond the masses, which responders with the
+    same verdict and score share.
     """
     eligible = request.eligible
     if not eligible:
@@ -150,7 +151,7 @@ def run_round(
             ) from exc
         verdict = decide(beliefs)
         trust = estimated_trust(beliefs)
-        credibility.settle(responders, answers, beliefs)
+        credibility.batch_update(responders, answers, beliefs)
         if inquiries is not None:
             inquiries.tally(responders, requester)
     else:

@@ -47,34 +47,30 @@ class InquiryLedger:
         return self._answered.get((answerer, requester), 0)
 
     def consume(self, asker: AgentId, provider: AgentId) -> int:
-        """Spend one inquiry; returns the remaining budget.
+        """Spend one inquiry; returns the remaining budget: the one-element
+        case of :meth:`spend`.
 
         A zero budget raises :class:`BudgetExhausted`, which callers treat as
         "cannot ask this advisor right now".
         """
-        key = (asker, provider)
-        remaining = self._budget.get(key, self.initial_budget)
-        if remaining <= 0:
+        if not self.spend(asker, (provider,))[0]:
             raise BudgetExhausted(
                 f"agent {asker.value} has no inquiries left toward {provider.value}"
             )
-        remaining -= 1
-        self._budget[key] = remaining
-        return remaining
+        return self._budget[(asker, provider)]
 
     def record_answer(self, answerer: AgentId, requester: AgentId) -> int:
-        key = (answerer, requester)
-        count = self._answered.get(key, 0) + 1
-        self._answered[key] = count
-        return count
+        """Tally one answer and return the pair's count this period: the
+        one-element case of :meth:`tally`."""
+        self.tally((answerer,), requester)
+        return self._answered[(answerer, requester)]
 
     def spend(self, asker: AgentId, providers: Iterable[AgentId]) -> list[bool]:
         """Spend one inquiry toward each provider in turn, in one call.
 
-        Returns, per provider, whether an inquiry was spent: the same as
-        calling :meth:`consume` for each in order, with ``False`` where it
-        would raise :class:`BudgetExhausted`. An exhausted pair is left as it
-        is, so a lazy initial budget of 0 stays unwritten.
+        Returns, per provider, whether an inquiry was spent: ``False`` where
+        the budget toward it is already 0. An exhausted pair is left as it is,
+        so a lazy initial budget of 0 stays unwritten.
         """
         budget, initial = self._budget, self.initial_budget
         granted = []
@@ -87,8 +83,8 @@ class InquiryLedger:
         return granted
 
     def tally(self, answerers: Iterable[AgentId], requester: AgentId) -> None:
-        """One answer of each answerer to ``requester``, in one call: the same
-        as calling :meth:`record_answer` for each in order."""
+        """Count one answer of each answerer to ``requester``, in order; an
+        answerer listed twice is counted twice."""
         answered = self._answered
         for answerer in answerers:
             key = (answerer, requester)

@@ -442,7 +442,8 @@ def run_scenario(
     )
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
+    """A float as the run's text tables and ``trustsim report`` write it."""
     return format(value, ".10g")
 
 
@@ -467,7 +468,9 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         "skipped": result.skipped_cells,
     }
     header = "# " + "  ".join(summary)
-    row = "  ".join(_fmt(v) if isinstance(v, float) else str(v) for v in summary.values())
+    row = "  ".join(
+        format_float(v) if isinstance(v, float) else str(v) for v in summary.values()
+    )
     write("summary.txt", [header, row])
     write("summary.json", [json.dumps(summary, indent=2, sort_keys=True)])
 
@@ -476,7 +479,8 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         result.per_iteration_mae, result.attacker_credibility, result.honest_credibility
     ):
         series_lines.append(
-            f"{iteration},{_fmt(value)},{_fmt(attacker)},{_fmt(honest)}"
+            f"{iteration},{format_float(value)},{format_float(attacker)},"
+            f"{format_float(honest)}"
         )
     write("series.csv", series_lines)
 
@@ -484,7 +488,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path) -> None:
         "item," + ",".join(f"iter_{t + 1}" for t in range(result.per_item_mae.shape[1]))
     ]
     for index in range(result.per_item_mae.shape[0]):
-        cells = ",".join(_fmt(v) for v in result.per_item_mae[index])
+        cells = ",".join(format_float(v) for v in result.per_item_mae[index])
         matrix_lines.append(f"{index},{cells}")
     write("per_item_mae.csv", matrix_lines)
 

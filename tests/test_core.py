@@ -4,7 +4,6 @@ from trustsim.core import (
     AgentId,
     IdentityIssuer,
     Probability,
-    Recommendation,
     Verdict,
 )
 
@@ -68,14 +67,3 @@ def test_verdict_inversion_is_involutive():
     for verdict in Verdict:
         assert verdict.inverted() is not verdict
         assert verdict.inverted().inverted() is verdict
-
-
-def test_recommendation_rejects_self_subject():
-    agent = AgentId(3)
-    with pytest.raises(ValueError):
-        Recommendation(agent, agent, Verdict.TRUSTWORTHY, Probability(0.5))
-
-
-def test_recommendation_validates_credibility():
-    with pytest.raises(ValueError):
-        Recommendation(AgentId(1), AgentId(2), Verdict.TRUSTWORTHY, 1.5)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trustsim.core import AgentId, Probability, Recommendation, Verdict
+from trustsim.core import AgentId, Verdict
 from trustsim import simulate
-from trustsim.credibility import CredibilityLedger, DuplicateRecommendation, _settled_score
+from trustsim.credibility import CredibilityLedger, _settled_score
 from trustsim.dst import MassFunction
 from trustsim.simulate import ScenarioConfig, run_scenario
 
@@ -98,8 +98,7 @@ def test_update_stays_in_range_and_matches_oracle(score, said_trust, t, frac):
     assert got == pytest.approx(oracle_update(score, said_trust, trust, distrust), abs=1e-12)
 
 
-def rec(advisor, verdict, cred=0.5, subject=99):
-    return Recommendation(AgentId(advisor), AgentId(subject), verdict, Probability(cred))
+T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
 
 def test_batch_update_round_example():
@@ -108,14 +107,7 @@ def test_batch_update_round_example():
     ledger.set(AgentId(1), 0.8)
     ledger.set(AgentId(2), 0.6)
     ledger.set(AgentId(3), 0.7)
-    ledger.batch_update(
-        [
-            rec(1, Verdict.TRUSTWORTHY, 0.8),
-            rec(2, Verdict.TRUSTWORTHY, 0.6),
-            rec(3, Verdict.UNTRUSTWORTHY, 0.7),
-        ],
-        beliefs,
-    )
+    ledger.batch_update([AgentId(1), AgentId(2), AgentId(3)], [T, T, N], beliefs)
     assert ledger.get(AgentId(1)) == 1.0
     assert ledger.get(AgentId(2)) == 1.0
     assert ledger.get(AgentId(3)) == pytest.approx(0.5426966292, abs=1e-9)
@@ -124,41 +116,21 @@ def test_batch_update_round_example():
 def test_batch_update_empty_is_noop():
     ledger = CredibilityLedger()
     ledger.set(AgentId(1), 0.3)
-    ledger.batch_update([], triple(0.6, 0.2))
+    ledger.batch_update([], [], triple(0.6, 0.2))
     assert ledger.get(AgentId(1)) == 0.3
-
-
-def test_batch_update_rejects_duplicates_before_any_write():
-    ledger = CredibilityLedger()
-    ledger.set(AgentId(1), 0.5)
-    with pytest.raises(DuplicateRecommendation):
-        ledger.batch_update(
-            [rec(1, Verdict.TRUSTWORTHY), rec(1, Verdict.TRUSTWORTHY)],
-            triple(0.6, 0.2),
-        )
-    assert ledger.get(AgentId(1)) == 0.5
-
-
-def test_batch_update_rejects_mixed_subjects():
-    ledger = CredibilityLedger()
-    with pytest.raises(ValueError):
-        ledger.batch_update(
-            [rec(1, Verdict.TRUSTWORTHY, subject=10), rec(2, Verdict.TRUSTWORTHY, subject=11)],
-            triple(0.6, 0.2),
-        )
 
 
 def test_abstainers_bit_identical_after_batch():
     ledger = CredibilityLedger()
     ledger.set(AgentId(7), 0.123456789)
     before = float(ledger.get(AgentId(7)))
-    ledger.batch_update([rec(1, Verdict.TRUSTWORTHY)], triple(0.9, 0.05))
+    ledger.batch_update([AgentId(1)], [T], triple(0.9, 0.05))
     assert float(ledger.get(AgentId(7))) == before
 
 
 # ---------------------------------------------------------------------------
-# settle, the kernel the round and batch_update share (against batch_update
-# and sequential updates: tests/test_round_path.py)
+# the settle memo of batch_update (against a sequential oracle:
+# tests/test_round_path.py)
 # ---------------------------------------------------------------------------
 
 
@@ -166,7 +138,7 @@ def test_settle_shares_one_result_between_equal_scores():
     ledger = CredibilityLedger()
     ledger.set(AgentId(1), -0.0)
     ledger.set(AgentId(2), 0.0)
-    ledger.settle([AgentId(1), AgentId(2)], [Verdict.UNTRUSTWORTHY] * 2, triple(0.75, 0.25))
+    ledger.batch_update([AgentId(1), AgentId(2)], [N, N], triple(0.75, 0.25))
     assert ledger.get(AgentId(1)) is ledger.get(AgentId(2))
     assert ledger.get(AgentId(1)).hex() == (0.25).hex()
 
@@ -198,9 +170,7 @@ def test_entries_are_found_by_an_equal_fresh_id():
     assert fresh is not stored
     assert fresh in ledger
     assert ledger.get(fresh) == 0.75
-    ledger.batch_update(
-        [Recommendation(fresh, AgentId(99), Verdict.TRUSTWORTHY, 0.75)], triple(0.9, 0.05)
-    )
+    ledger.batch_update([fresh], [T], triple(0.9, 0.05))
     assert len(ledger) == 1
     assert ledger.get(stored) == 1.0
     ledger.drop(AgentId(12))

@@ -180,10 +180,20 @@ def test_snapshot_lists_ids_in_numeric_order(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the round's batch calls against the one-pair calls they stand for
+# the batch calls and their one-element cases against plain dict arithmetic
 # ---------------------------------------------------------------------------
 
 IDS = st.integers(0, 5).map(AgentId)
+
+
+def consume(budget, initial, asker, provider):
+    """The oracle: one inquiry spent on a dict of budgets. Returns what is
+    left, or None, writing nothing, where the budget is exhausted."""
+    remaining = budget.get((asker, provider), initial)
+    if remaining <= 0:
+        return None
+    budget[(asker, provider)] = remaining - 1
+    return remaining - 1
 
 
 def ledgers_after(initial, asked):
@@ -199,6 +209,11 @@ def ledgers_after(initial, asked):
     return pair
 
 
+def assert_same_entries(ledger_counts, oracle):
+    assert ledger_counts == oracle
+    assert list(ledger_counts) == list(oracle)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     initial=st.integers(0, 3),
@@ -208,19 +223,23 @@ def ledgers_after(initial, asked):
 )
 def test_spend_equals_a_sequence_of_consume_calls(initial, asked, asker, providers):
     batch, single = ledgers_after(initial, asked)
+    budget = {}
+    for pair in asked:
+        consume(budget, initial, *pair)
     granted = batch.spend(asker, providers)
     expected = []
     for provider in providers:
+        left = consume(budget, initial, asker, provider)
+        expected.append(left is not None)
         try:
-            single.consume(asker, provider)
+            assert single.consume(asker, provider) == left
         except BudgetExhausted:
-            expected.append(False)
-        else:
-            expected.append(True)
+            assert left is None
     assert granted == expected
-    # exhausted pairs are left unwritten, as consume leaves them
-    assert vars(batch) == vars(single)
-    assert list(vars(batch)["_budget"]) == list(vars(single)["_budget"])
+    # exhausted pairs are left unwritten
+    for ledger in (batch, single):
+        assert_same_entries(vars(ledger)["_budget"], budget)
+        assert vars(ledger)["_answered"] == {}
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,11 +250,16 @@ def test_spend_equals_a_sequence_of_consume_calls(initial, asked, asker, provide
 )
 def test_tally_equals_a_sequence_of_record_answer_calls(asked, answerers, requester):
     batch, single = ledgers_after(2, asked)
+    answered = {}
     for answerer, asker in asked:
         batch.record_answer(answerer, asker)
         single.record_answer(answerer, asker)
+        answered[(answerer, asker)] = answered.get((answerer, asker), 0) + 1
     batch.tally(answerers, requester)
     for answerer in answerers:
-        single.record_answer(answerer, requester)
+        key = (answerer, requester)
+        answered[key] = answered.get(key, 0) + 1
+        assert single.record_answer(answerer, requester) == answered[key]
+    for ledger in (batch, single):
+        assert_same_entries(vars(ledger)["_answered"], answered)
     assert vars(batch) == vars(single)
-    assert list(vars(batch)["_answered"]) == list(vars(single)["_answered"])

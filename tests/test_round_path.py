@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trustsim.core import AgentId, Probability, Recommendation, Verdict
-from trustsim.credibility import CredibilityLedger
+from trustsim.core import AgentId, Probability, Verdict
+from trustsim.credibility import CredibilityLedger, _settled_score
 from trustsim.engine import RecommendationRequest, RoundFailure, run_round
 from trustsim.dst import (
     CREDIBILITY_CAP,
@@ -217,7 +217,7 @@ def test_total_conflict_still_raised_by_the_float_fold():
 
 
 # ---------------------------------------------------------------------------
-# batch_update == settle == one update per advisor, bit for bit
+# batch_update == one update per advisor == the rule applied in turn, bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -226,45 +226,50 @@ def ledger_bits(ledger):
     return [(agent, type(score), float(score).hex()) for agent, score in ledger.as_map().items()]
 
 
-def settle_with_repeats(settled, sequential, recs, again, beliefs):
-    """Settle ``recs`` and then the repeated indices ``again`` in one call;
-    ``sequential`` has already had ``recs`` and updates the repeats in turn."""
-    repeated = [recs[i % len(recs)] for i in again] if recs else []
-    for rec in repeated:
-        sequential.update(rec.advisor, rec.verdict, beliefs)
-    answers = recs + repeated
-    settled.settle([r.advisor for r in answers], [r.verdict for r in answers], beliefs)
-    assert ledger_bits(settled) == ledger_bits(sequential)
-    assert all(type(score) is Probability for score in settled.as_map().values())
+def sequential_settle(ledger, advisors, verdicts, beliefs):
+    """The oracle: the settle rule applied to one advisor at a time, reading
+    and writing through ``get`` and ``set``, with no memo."""
+    trust, distrust = float(beliefs.trust), float(beliefs.distrust)
+    for advisor, verdict in zip(advisors, verdicts):
+        score = float(ledger.get(advisor))
+        ledger.set(advisor, _settled_score(score, verdict is T, trust, distrust))
+
+
+def settle_with_repeats(ledgers, answers, again, beliefs):
+    """Settle ``answers`` and then the repeated indices ``again`` three ways:
+    in one ``batch_update`` call, by one ``update`` call per advisor, and by
+    the oracle. An advisor listed twice is settled twice."""
+    batch, single, oracle = ledgers
+    answers = answers + ([answers[i % len(answers)] for i in again] if answers else [])
+    advisors = [advisor for advisor, _ in answers]
+    verdicts = [verdict for _, verdict in answers]
+    batch.batch_update(advisors, verdicts, beliefs)
+    for advisor, verdict in answers:
+        got = single.update(advisor, verdict, beliefs)
+        sequential_settle(oracle, [advisor], [verdict], beliefs)
+        assert (type(got), got.hex()) == (Probability, float(oracle.get(advisor)).hex())
+    assert ledger_bits(batch) == ledger_bits(oracle)
+    assert ledger_bits(single) == ledger_bits(oracle)
+    assert all(type(score) is Probability for score in batch.as_map().values())
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.tuples(st.sampled_from([T, N]), st.one_of(st.none(), unit), unit),
-        max_size=30,
-    ),
+    st.lists(st.tuples(st.sampled_from([T, N]), st.one_of(st.none(), unit)), max_size=30),
     free_masses(),
     unit,
     st.lists(st.integers(0, 29), max_size=5),
 )
 def test_batch_update_equals_sequential_updates(advisors, beliefs, initial, again):
-    # the credibility a recommendation was issued at need not be the ledger's
-    # score any more; both updates read the ledger. settle, which takes no
-    # Recommendation, also takes an advisor twice: it settles it twice
-    ledgers = batch, settled, sequential = [CredibilityLedger(initial) for _ in range(3)]
-    recs = []
-    for value, (verdict, score, issued_at) in enumerate(advisors):
+    ledgers = [CredibilityLedger(initial) for _ in range(3)]
+    answers = []
+    for value, (verdict, score) in enumerate(advisors):
         agent = AgentId(value)
         if score is not None:
             for ledger in ledgers:
                 ledger.set(agent, score)
-        recs.append(Recommendation(agent, AgentId(10_000), verdict, issued_at))
-    batch.batch_update(recs, beliefs)
-    for rec in recs:
-        sequential.update(rec.advisor, rec.verdict, beliefs)
-    assert ledger_bits(batch) == ledger_bits(sequential)
-    settle_with_repeats(settled, sequential, recs, again, beliefs)
+        answers.append((agent, verdict))
+    settle_with_repeats(ledgers, answers, again, beliefs)
 
 
 shared_scores = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, CREDIBILITY_CAP, 1.0])
@@ -295,19 +300,15 @@ def test_batch_update_with_shared_scores_equals_sequential_updates(
     # many responders share a handful of scores, as in a saturated round;
     # -0.0 and 0.0 are equal keys but must keep their own bits on a tie, and a
     # tie still writes an advisor the ledger did not hold
-    ledgers = batch, settled, sequential = [CredibilityLedger(initial) for _ in range(3)]
-    recs = []
+    ledgers = [CredibilityLedger(initial) for _ in range(3)]
+    answers = []
     for value, (verdict, score) in enumerate(advisors):
         agent = AgentId(value)
         if score is not None:
             for ledger in ledgers:
                 ledger.set(agent, score)
-        recs.append(Recommendation(agent, AgentId(10_000), verdict, 0.5))
-    batch.batch_update(recs, beliefs)
-    for rec in recs:
-        sequential.update(rec.advisor, rec.verdict, beliefs)
-    assert ledger_bits(batch) == ledger_bits(sequential)
-    settle_with_repeats(settled, sequential, recs, again, beliefs)
+        answers.append((agent, verdict))
+    settle_with_repeats(ledgers, answers, again, beliefs)
 
 
 # ---------------------------------------------------------------------------
