@@ -127,8 +127,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         with open(partial, "w", encoding="utf-8") as handle:
 
-            def trace(record: dict) -> None:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            def trace(line: str) -> None:
+                handle.write(line + "\n")
 
             result = run_scenario(config, trace=trace)
         write_outputs(result, out_dir)

@@ -14,7 +14,7 @@ The rule is applied in one place, :meth:`CredibilityLedger.batch_update`;
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import AgentId, Probability, Verdict
 from .dst import MassFunction
@@ -78,14 +78,15 @@ class CredibilityLedger:
         return [scores.get(agent, initial) for agent in agents]
 
     def batch_update(
-        self, advisors: Iterable[AgentId], verdicts: Iterable[Verdict], beliefs: MassFunction
+        self, advisors: Sequence[AgentId], verdicts: Sequence[Verdict], beliefs: MassFunction
     ) -> None:
         """Settle each advisor's verdict against ``beliefs``, in order.
 
-        ``advisors`` and ``verdicts`` line up. An advisor listed twice is
+        ``advisors`` and ``verdicts`` line up; when their lengths differ this
+        raises ``ValueError`` before any write. An advisor listed twice is
         settled twice, from the score its first settling left, and every listed
         advisor's score is written even when it does not change. Advisors not
-        listed are untouched. Nothing is checked here: a round's
+        listed are untouched. Nothing else is checked here: a round's
         :class:`~trustsim.engine.RecommendationRequest` already holds one
         subject and distinct advisors, none of them the subject or requester.
 
@@ -96,6 +97,10 @@ class CredibilityLedger:
         beliefs tie exactly; a tie leaves every score as it is, bits and all,
         so it settles nothing.
         """
+        if len(advisors) != len(verdicts):
+            raise ValueError(
+                f"{len(advisors)} advisors but {len(verdicts)} verdicts to settle"
+            )
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
         scores, initial = self._scores, self.initial_score
         if trust == distrust:

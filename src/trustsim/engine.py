@@ -81,7 +81,10 @@ def run_round(
     population: Mapping[AgentId, Responder],
     credibility: CredibilityLedger,
     inquiries: InquiryLedger | None = None,
-    trace: Callable[[dict], None] | None = None,
+    trace: Callable[[str], None] | None = None,
+    *,
+    iteration: int | None = None,
+    item: int | None = None,
 ) -> RoundOutcome:
     """Execute one full round for ``request``.
 
@@ -96,6 +99,10 @@ def run_round(
     ``CredibilityLedger.batch_update``, ``InquiryLedger.tally``), and no
     per-responder object is built beyond the masses, which responders with the
     same verdict and score share.
+
+    ``trace`` (if given) receives the round's record as one JSON line without
+    the newline (see :func:`_trace_line`) before this call returns, with
+    ``iteration`` and ``item`` among its fields when they are given.
     """
     eligible = request.eligible
     if not eligible:
@@ -170,45 +177,65 @@ def run_round(
         tuple(not_polled),
     )
     if trace is not None:
-        trace(_trace_record(request, outcome, credibility))
+        settled = credibility.scores(responders)
+        trace(_trace_line(request, outcome, settled, iteration, item))
     return outcome
 
 
-def _trace_record(
+#: Each verdict as JSON text.
+_VERDICT_JSON = {verdict: f'"{verdict.value}"' for verdict in Verdict}
+
+
+def _trace_line(
     request: RecommendationRequest,
     outcome: RoundOutcome,
-    credibility: CredibilityLedger,
-) -> dict:
-    """One structured record per round, for line-delimited logging.
+    settled: Sequence[float],
+    iteration: int | None,
+    item: int | None,
+) -> str:
+    """One round's trace record as a JSON line, without the newline.
 
-    ``responders[].credibility`` is each responder's score before the round,
-    the one its verdict was weighted by; ``credibility_after`` holds the
-    settled scores.
+    The record holds ``requester`` and ``subject``; ``responders``, a list of
+    ``{advisor, credibility, verdict}`` in polling order, where
+    ``credibility`` is the score the verdict was weighted by (the one before
+    the round); ``abstainers`` and ``not_polled``; the fused ``beliefs``
+    (``trust``, ``distrust``, ``uncertainty``), ``verdict`` and
+    ``estimated_trust``; ``credibility_after``, each responder's settled score
+    (``settled``, in responder order) keyed by its id as a string; and
+    ``iteration`` and ``item`` when they are given. Ids are the agents'
+    numbers and verdicts their values.
+
+    The line is byte for byte what ``json.dumps(record, sort_keys=True)``
+    writes: keys in sorted order (``credibility_after`` in string order of the
+    ids), floats by ``float.__repr__``, ``", "`` and ``": "`` separators.
     """
-    return {
-        "requester": request.requester.value,
-        "subject": request.subject.value,
-        "responders": [
-            {
-                "advisor": advisor.value,
-                "verdict": answer.value,
-                "credibility": float(weight),
-            }
-            for advisor, answer, weight in zip(
-                outcome.responders, outcome.answers, outcome.weights
-            )
-        ],
-        "abstainers": [agent.value for agent in outcome.abstainers],
-        "not_polled": [agent.value for agent in outcome.not_polled],
-        "beliefs": {
-            "trust": float(outcome.beliefs.trust),
-            "distrust": float(outcome.beliefs.distrust),
-            "uncertainty": float(outcome.beliefs.uncertainty),
-        },
-        "verdict": outcome.verdict.value,
-        "estimated_trust": float(outcome.estimated_trust),
-        "credibility_after": {
-            str(advisor.value): float(credibility.get(advisor))
-            for advisor in outcome.responders
-        },
-    }
+    text = float.__repr__
+    verdict_json = _VERDICT_JSON
+    entries = []
+    after = []
+    for agent, answer, weight, score in zip(
+        outcome.responders, outcome.answers, outcome.weights, settled
+    ):
+        advisor = str(agent.value)
+        entries.append(
+            f'{{"advisor": {advisor}, "credibility": {text(weight)}, '
+            f'"verdict": {verdict_json[answer]}}}'
+        )
+        after.append(f'"{advisor}": {text(score)}')
+    # '"' sorts below every character of an id, so the entries sort as their ids
+    after.sort()
+    beliefs = outcome.beliefs
+    position = "" if item is None else f'"item": {item}, '
+    if iteration is not None:
+        position += f'"iteration": {iteration}, '
+    abstainers = ", ".join([str(agent.value) for agent in outcome.abstainers])
+    not_polled = ", ".join([str(agent.value) for agent in outcome.not_polled])
+    return (
+        f'{{"abstainers": [{abstainers}], "beliefs": {{"distrust": {text(beliefs.distrust)}, '
+        f'"trust": {text(beliefs.trust)}, "uncertainty": {text(beliefs.uncertainty)}}}, '
+        f'"credibility_after": {{{", ".join(after)}}}, '
+        f'"estimated_trust": {text(outcome.estimated_trust)}, {position}'
+        f'"not_polled": [{not_polled}], "requester": {request.requester.value}, '
+        f'"responders": [{", ".join(entries)}], "subject": {request.subject.value}, '
+        f'"verdict": {verdict_json[outcome.verdict]}}}'
+    )

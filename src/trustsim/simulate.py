@@ -284,20 +284,14 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else math.nan
 
 
-def _annotated_trace(trace: Callable[[dict], None], iteration: int, item: int):
-    def emit(record: dict) -> None:
-        trace({"iteration": iteration, "item": item, **record})
-
-    return emit
-
-
 def run_scenario(
-    config: ScenarioConfig, trace: Callable[[dict], None] | None = None
+    config: ScenarioConfig, trace: Callable[[str], None] | None = None
 ) -> ScenarioResult:
     """Run one full scenario; deterministic given the config.
 
-    ``trace`` (if given) receives one record per round, annotated with the
-    iteration and item indices.
+    ``trace`` (if given) receives each round's trace line from ``run_round``,
+    one JSON record without the newline that also holds the iteration and
+    item indices.
     """
     config.validate()
     kind = AttackKind(config.attack_kind)
@@ -380,11 +374,11 @@ def run_scenario(
         eligible = tuple(agent.state.identity for agent in agents)
 
         for item_index, (spec, item_id) in enumerate(zip(item_specs, item_ids)):
-            item_trace = None
-            if trace is not None:
-                item_trace = _annotated_trace(trace, iteration, item_index)
             request = RecommendationRequest(system, item_id, spec.features, eligible)
-            outcome = run_round(request, population, credibility, inquiries, item_trace)
+            outcome = run_round(
+                request, population, credibility, inquiries, trace,
+                iteration=iteration, item=item_index,
+            )
             if outcome.responders:
                 error = abs(spec.ground_truth - float(outcome.estimated_trust))
                 per_item_error[item_index, iteration - 1] = error

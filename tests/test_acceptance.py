@@ -7,6 +7,7 @@ checks byte-level reproducibility, and 10 replays the worked three-advisor
 round. Each test prints a PASS/FAIL line via conftest.
 """
 
+import json
 import math
 import random
 import time
@@ -238,7 +239,7 @@ def test_c08_whitewashing_trend(desk_runs):
         seed=SEED, attack_kind="whitewashing", reset_period=3, **DESK_SCALE
     )
     records = []
-    result = run_scenario(config, trace=records.append)
+    result = run_scenario(config, trace=lambda line: records.append(json.loads(line)))
     assert result.retired_identities, "no resets happened"
     first_seen: dict[int, tuple[int, float]] = {}
     for record in records:

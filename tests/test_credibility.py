@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -118,6 +119,22 @@ def test_batch_update_empty_is_noop():
     ledger.set(AgentId(1), 0.3)
     ledger.batch_update([], [], triple(0.6, 0.2))
     assert ledger.get(AgentId(1)) == 0.3
+
+
+@pytest.mark.parametrize(
+    "beliefs", [triple(0.5, 0.5), triple(0.6, 0.2)], ids=["exact-tie", "decided"]
+)
+@pytest.mark.parametrize(
+    "advisors, verdicts",
+    [([AgentId(1), AgentId(2)], [T]), ([AgentId(1)], [T, N])],
+    ids=["fewer-verdicts", "fewer-advisors"],
+)
+def test_batch_update_rejects_unequal_lengths_before_any_write(beliefs, advisors, verdicts):
+    ledger = CredibilityLedger()
+    ledger.set(AgentId(1), 0.3)
+    with pytest.raises(ValueError, match="advisors but"):
+        ledger.batch_update(advisors, verdicts, beliefs)
+    assert ledger.as_map() == {AgentId(1): 0.3}
 
 
 def test_abstainers_bit_identical_after_batch():
@@ -249,7 +266,7 @@ def test_a_dissenting_sybil_minority_keeps_full_credibility(monkeypatch, seed):
         seed=seed, n_advisors=20, n_items=10, n_iterations=10, attack_kind="sybil",
         attacker_fraction=0.05, sybil_count=1,
     )
-    result = run_scenario(config, trace=rounds.append)
+    result = run_scenario(config, trace=lambda line: rounds.append(json.loads(line)))
     assert len(attackers) == 2
     for attacker in attackers:
         answers = [

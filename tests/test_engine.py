@@ -1,9 +1,13 @@
+import json
+
 import pytest
 
+from trustsim.cli import main as cli_main
 from trustsim.core import AgentId, Verdict
 from trustsim.credibility import CredibilityLedger
 from trustsim.engine import RecommendationRequest, run_round
 from trustsim.incentives import InquiryLedger
+from trustsim.simulate import ScenarioConfig, run_scenario
 
 T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
@@ -186,7 +190,8 @@ def test_trace_record_shape():
     ledger.set(a, 0.8)
     records = []
     run_round(
-        make_request([a, b]), {a: const(N), b: absent}, ledger, trace=records.append
+        make_request([a, b]), {a: const(N), b: absent}, ledger,
+        trace=lambda line: records.append(json.loads(line)),
     )
     assert len(records) == 1
     record = records[0]
@@ -205,6 +210,111 @@ def test_trace_record_shape():
     assert ledger.get(a) != 0.8
     # information hiding: nothing in a trace mentions attacker metadata
     assert "lineage" not in str(record)
+
+
+# ---------------------------------------------------------------------------
+# the trace line: byte for byte json.dumps(record, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+
+def dumped_record(request, outcome, ledger, **position):
+    """The round's record as a dict, written by ``json.dumps``: the oracle
+    for the line ``run_round`` hands its trace."""
+    record = {
+        **position,
+        "requester": request.requester.value,
+        "subject": request.subject.value,
+        "responders": [
+            {"advisor": advisor.value, "verdict": answer.value, "credibility": float(weight)}
+            for advisor, answer, weight in zip(
+                outcome.responders, outcome.answers, outcome.weights
+            )
+        ],
+        "abstainers": [agent.value for agent in outcome.abstainers],
+        "not_polled": [agent.value for agent in outcome.not_polled],
+        "beliefs": {
+            "trust": float(outcome.beliefs.trust),
+            "distrust": float(outcome.beliefs.distrust),
+            "uncertainty": float(outcome.beliefs.uncertainty),
+        },
+        "verdict": outcome.verdict.value,
+        "estimated_trust": float(outcome.estimated_trust),
+        "credibility_after": {
+            str(advisor.value): float(ledger.get(advisor)) for advisor in outcome.responders
+        },
+    }
+    return json.dumps(record, sort_keys=True)
+
+
+def traced_round(request, population, ledger, inquiries=None, **position):
+    """Run one round; return its trace line and the oracle's line."""
+    lines = []
+    outcome = run_round(request, population, ledger, inquiries, lines.append, **position)
+    (line,) = lines
+    return line, dumped_record(request, outcome, ledger, **position)
+
+
+def test_trace_line_keeps_negative_zero_apart_from_zero():
+    # -0.0 and 0.0 compare equal, yet json.dumps writes each as itself
+    a, b = AgentId(1), AgentId(2)
+    ledger = CredibilityLedger(-0.0)
+    ledger.set(a, 0.0)
+    line, expected = traced_round(make_request([a, b]), {a: const(T), b: const(T)}, ledger)
+    assert line == expected
+    assert '"credibility": 0.0' in line and '"credibility": -0.0' in line
+    assert '"1": 0.0' in line and '"2": -0.0' in line
+
+
+def test_trace_line_orders_credibility_after_as_strings():
+    ids = [AgentId(9), AgentId(10), AgentId(100)]
+    ledger = CredibilityLedger()
+    ledger.set(AgentId(10), 0.7)
+    answers = {AgentId(9): const(T), AgentId(10): const(N), AgentId(100): const(T)}
+    line, expected = traced_round(make_request(ids, requester=AgentId(1)), answers, ledger)
+    assert line == expected
+    after = json.loads(line)["credibility_after"]
+    assert list(after) == ["10", "100", "9"]
+
+
+def test_trace_line_of_an_all_abstain_round():
+    ids = [AgentId(1), AgentId(2)]
+    line, expected = traced_round(
+        make_request(ids), dict.fromkeys(ids, absent), CredibilityLedger()
+    )
+    assert line == expected
+    record = json.loads(line)
+    assert record["responders"] == [] and record["credibility_after"] == {}
+    assert record["beliefs"] == {"trust": 0.0, "distrust": 0.0, "uncertainty": 1.0}
+
+
+def test_trace_line_of_a_starved_round_with_position():
+    a, b, c = AgentId(1), AgentId(2), AgentId(3)
+    inquiries = InquiryLedger(initial_budget=1)
+    inquiries.consume(AgentId(100), a)
+    line, expected = traced_round(
+        make_request([a, b, c]), {a: const(T), b: const(N), c: absent},
+        CredibilityLedger(), inquiries, iteration=4, item=0,
+    )
+    assert line == expected
+    record = json.loads(line)
+    assert record["not_polled"] == [1]
+    assert (record["iteration"], record["item"]) == (4, 0)
+
+
+def test_scenario_trace_lines_are_the_cli_trace_file(tmp_path):
+    config = ScenarioConfig(
+        seed=3, n_advisors=6, n_items=3, n_iterations=4, attack_kind="sybil",
+        records_per_advisor=24, initial_budget=3,
+    )
+    lines = []
+    run_scenario(config, trace=lines.append)
+    argv = [
+        "simulate", "--seed", "3", "--advisors", "6", "--items", "3", "--iterations", "4",
+        "--attack", "sybil", "--records-per-advisor", "24", "--initial-budget", "3",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == 0
+    assert ("\n".join(lines) + "\n").encode() == (tmp_path / "trace.jsonl").read_bytes()
 
 
 def test_total_conflict_becomes_round_failure(monkeypatch):

@@ -5,6 +5,7 @@ the lookups are taken and that they never hand back a stale answer.
 """
 
 import dataclasses
+import json
 import sys
 from collections import Counter
 
@@ -85,7 +86,7 @@ def test_sybil_scenario_walks_each_tree_once_per_item(walks):
         seed=3, n_advisors=10, n_items=5, n_iterations=4, attack_kind="sybil",
         sybil_count=3, records_per_advisor=30,
     )
-    run_scenario(config, trace=records.append)
+    run_scenario(config, trace=lambda line: records.append(json.loads(line)))
     assert max(walks.values()) == 1
     # self-assessment walks fold trees on dataset rows; rounds walk the full
     # trees on item features, which are tuples

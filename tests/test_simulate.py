@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_whitewash_resets_reenter_at_initial_credibility():
     config = small_config(
         attack_kind="whitewashing", reset_period=2, n_iterations=6, seed=42
     )
-    result = run_scenario(config, trace=records.append)
+    result = run_scenario(config, trace=lambda line: records.append(json.loads(line)))
     assert result.retired_identities
     retired_values = {agent.value for agent in result.retired_identities}
     # retired ids never show up again after their retirement iteration
@@ -269,7 +270,7 @@ def test_retired_ids_never_polled_after_reset():
     config = small_config(
         attack_kind="whitewashing", reset_period=2, n_iterations=6, seed=1
     )
-    result = run_scenario(config, trace=records.append)
+    result = run_scenario(config, trace=lambda line: records.append(json.loads(line)))
     last_seen = {}
     for record in records:
         participants = (
@@ -286,7 +287,7 @@ def test_retired_ids_never_polled_after_reset():
 
 def test_trace_carries_iteration_and_item():
     records = []
-    run_scenario(small_config(), trace=records.append)
+    run_scenario(small_config(), trace=lambda line: records.append(json.loads(line)))
     assert len(records) == SMALL["n_items"] * SMALL["n_iterations"]
     assert {record["iteration"] for record in records} == {1, 2, 3, 4}
     assert {record["item"] for record in records} == {0, 1, 2, 3}
@@ -311,7 +312,7 @@ def test_budgets_follow_the_per_period_drip():
         initial_budget=budget, period_length=1,
     )
     records = []
-    result = run_scenario(config, trace=records.append)
+    result = run_scenario(config, trace=lambda line: records.append(json.loads(line)))
     (system,) = {AgentId(record["requester"]) for record in records}
     inquiries = result.inquiry_ledger
     assert result.final_identities
