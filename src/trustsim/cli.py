@@ -122,10 +122,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # The trace is written beside its final name and renamed once the run has
     # succeeded; a failed run removes what it created and leaves no partial
-    # trace behind.
+    # trace behind. A line is a few KB, so a 1 MiB buffer writes many lines
+    # per system call where the default 8 KB one writes about one.
     partial = out_dir / "trace.jsonl.partial"
     try:
-        with open(partial, "w", encoding="utf-8") as handle:
+        with open(partial, "w", encoding="utf-8", buffering=1 << 20) as handle:
 
             def trace(line: str) -> None:
                 handle.write(line + "\n")

@@ -7,6 +7,12 @@ and only then settles the ledgers (credibility updates for responders, answer
 tallies for the incentive scheme). Reading everything before writing anything
 means a round can never feed its own updates back into its own aggregation.
 
+A round is two steps: collection (:func:`poll`, which asks each advisor whose
+inquiry was granted) and the conclusion (:func:`conclude_round`, which weighs,
+fuses, decides, settles and writes the trace line). :func:`run_round` runs
+both; a caller that already knows what each advisor would answer, like the
+simulator, concludes from those answers directly.
+
 Advisors appear here only as opaque callables keyed by identity; whatever
 behavior hides behind a callable is invisible to this module.
 """
@@ -15,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .core import AgentId, Probability, Verdict
+from .core import _TRUSTWORTHY, _UNTRUSTWORTHY, AgentId, Probability, Verdict
 from .credibility import CredibilityLedger
 from .dst import (
     VACUOUS,
@@ -76,6 +82,48 @@ class RoundOutcome:
     not_polled: tuple[AgentId, ...]
 
 
+class Polls(NamedTuple):
+    """What a round collected, in polling order: the advisors that answered
+    and their verdicts (these two line up), the advisors that abstained, and
+    those never asked because the requester's inquiry budget toward them was
+    exhausted."""
+
+    responders: tuple[AgentId, ...]
+    answers: tuple[Verdict, ...]
+    abstainers: tuple[AgentId, ...]
+    not_polled: tuple[AgentId, ...]
+
+
+def poll(
+    eligible: Sequence[AgentId],
+    policies: Sequence[Responder],
+    subject: AgentId,
+    features: Sequence[float],
+    granted: Sequence[bool] | None = None,
+) -> Polls:
+    """Ask each eligible advisor (through its policy, which lines up with it)
+    about ``subject``, in order. Where ``granted`` says ``False`` the advisor
+    is not asked and is listed as not polled; without ``granted`` every
+    advisor is asked."""
+    responders: list[AgentId] = []
+    answers: list[Verdict] = []
+    abstainers: list[AgentId] = []
+    not_polled: list[AgentId] = []
+    for advisor, respond, asked in zip(
+        eligible, policies, itertools.repeat(True) if granted is None else granted
+    ):
+        if not asked:
+            not_polled.append(advisor)
+            continue
+        answer = respond(subject, features)
+        if answer is None:
+            abstainers.append(advisor)
+        else:
+            responders.append(advisor)
+            answers.append(answer)
+    return Polls(tuple(responders), tuple(answers), tuple(abstainers), tuple(not_polled))
+
+
 def run_round(
     request: RecommendationRequest,
     population: Mapping[AgentId, Responder],
@@ -94,87 +142,89 @@ def run_round(
     with the conservative untrustworthy verdict. Credibility updates apply to
     responders only, using the aggregate the round just produced.
 
-    The round works on plain values: each ledger is read or written in one
-    batch call per step (``InquiryLedger.spend``, ``CredibilityLedger.scores``,
-    ``CredibilityLedger.batch_update``, ``InquiryLedger.tally``), and no
-    per-responder object is built beyond the masses, which responders with the
-    same verdict and score share.
-
-    ``trace`` (if given) receives the round's record as one JSON line without
-    the newline (see :func:`_trace_line`) before this call returns, with
-    ``iteration`` and ``item`` among its fields when they are given.
+    The requester's inquiries toward all eligible advisors are spent in one
+    ``InquiryLedger.spend`` call, each granted advisor is asked once
+    (:func:`poll`), and :func:`conclude_round` does the rest. An unknown
+    advisor fails the round before any ledger is written.
     """
     eligible = request.eligible
     if not eligible:
         raise ValueError("cannot run a round with no eligible advisors")
-    requester, subject, features = request.requester, request.subject, request.subject_features
     try:
         policies = [population[advisor] for advisor in eligible]
     except KeyError as exc:
         raise ValueError(
             f"eligible advisor {exc.args[0].value} is not in the population"
         ) from None
-    granted = (
-        inquiries.spend(requester, eligible)
-        if inquiries is not None
-        else itertools.repeat(True)
+    granted = inquiries.spend(request.requester, eligible) if inquiries is not None else None
+    polls = poll(eligible, policies, request.subject, request.subject_features, granted)
+    return conclude_round(
+        request, polls, credibility, inquiries, trace, iteration=iteration, item=item
     )
-    scores = credibility.scores(eligible)
-    responders: list[AgentId] = []
-    answers: list[Verdict] = []
-    weights: list[Probability] = []
-    masses: list[MassFunction] = []
-    abstainers: list[AgentId] = []
-    not_polled: list[AgentId] = []
-    # Responders share a handful of (verdict, credibility) pairs once
-    # credibility saturates, so each distinct mass is built once a round.
-    trusting: dict[float, MassFunction] = {}
-    distrusting: dict[float, MassFunction] = {}
-    trustworthy = Verdict.TRUSTWORTHY  # an enum member lookup costs ten local reads
-    for advisor, respond, asked, score in zip(eligible, policies, granted, scores):
-        if not asked:
-            not_polled.append(advisor)
-            continue
-        answer = respond(subject, features)
-        if answer is None:
-            abstainers.append(advisor)
-            continue
-        built = trusting if answer is trustworthy else distrusting
-        mass = built.get(score)
-        if mass is None:
-            mass = built[score] = mass_from_recommendation(answer, score)
-        responders.append(advisor)
-        answers.append(answer)
-        weights.append(score)
-        masses.append(mass)
 
+
+def conclude_round(
+    request: RecommendationRequest,
+    polls: Polls,
+    credibility: CredibilityLedger,
+    inquiries: InquiryLedger | None = None,
+    trace: Callable[[str], None] | None = None,
+    *,
+    iteration: int | None = None,
+    item: int | None = None,
+) -> RoundOutcome:
+    """Conclude a round from what was collected: weigh, fuse, decide, settle.
+
+    Each responder's verdict is weighted by its score before the round (read
+    in one ``CredibilityLedger.scores`` call). Responders share a handful of
+    (verdict, score) pairs once credibility saturates, so each distinct mass
+    is built once a round and fused once per responder. The responders are
+    then settled in one ``CredibilityLedger.batch_update`` call and their
+    answers tallied in one ``InquiryLedger.tally`` call; no object is built
+    per responder.
+
+    ``trace`` (if given) receives the round's record as one JSON line without
+    the newline (see :func:`_trace_line`) before this call returns, with
+    ``iteration`` and ``item`` among its fields when they are given.
+    """
+    responders, answers = polls.responders, polls.answers
+    weights = credibility.scores(responders)
     if responders:
+        trusting: dict[float, MassFunction] = {}
+        distrusting: dict[float, MassFunction] = {}
+        masses: list[MassFunction] = []
+        for answer, score in zip(answers, weights):
+            built = trusting if answer is _TRUSTWORTHY else distrusting
+            mass = built.get(score)
+            if mass is None:
+                mass = built[score] = mass_from_recommendation(answer, score)
+            masses.append(mass)
         try:
             beliefs = combine_all(masses)
         except TotalConflict as exc:
             raise RoundFailure(
                 f"total conflict aggregating {len(masses)} recommendations "
-                f"about subject {subject.value}"
+                f"about subject {request.subject.value}"
             ) from exc
         verdict = decide(beliefs)
         trust = estimated_trust(beliefs)
         credibility.batch_update(responders, answers, beliefs)
         if inquiries is not None:
-            inquiries.tally(responders, requester)
+            inquiries.tally(responders, request.requester)
     else:
         beliefs = VACUOUS
-        verdict = Verdict.UNTRUSTWORTHY
+        verdict = _UNTRUSTWORTHY
         trust = Probability(0.5)
 
     outcome = RoundOutcome(
         beliefs,
         verdict,
         trust,
-        tuple(responders),
-        tuple(answers),
+        responders,
+        answers,
         tuple(weights),
-        tuple(abstainers),
-        tuple(not_polled),
+        polls.abstainers,
+        polls.not_polled,
     )
     if trace is not None:
         settled = credibility.scores(responders)
@@ -183,7 +233,14 @@ def run_round(
 
 
 #: Each verdict as JSON text.
-_VERDICT_JSON = {verdict: f'"{verdict.value}"' for verdict in Verdict}
+_TRUSTWORTHY_JSON = f'"{_TRUSTWORTHY.value}"'
+_UNTRUSTWORTHY_JSON = f'"{_UNTRUSTWORTHY.value}"'
+
+#: Each traced advisor's id texts: the head of its ``responders`` entry and
+#: the key of its ``credibility_after`` entry. They never change, so they are
+#: kept from round to round; there is one entry per distinct id traced, and a
+#: scenario's ids are the ones its ``IdentityIssuer`` issued, counting from 0.
+_ID_TEXTS: dict[AgentId, tuple[str, str]] = {}
 
 
 def _trace_line(
@@ -208,20 +265,44 @@ def _trace_line(
     The line is byte for byte what ``json.dumps(record, sort_keys=True)``
     writes: keys in sorted order (``credibility_after`` in string order of the
     ids), floats by ``float.__repr__``, ``", "`` and ``": "`` separators.
+
+    Responders share a few (verdict, weight) pairs and settled scores, so the
+    text of each is written once a round. Those memos are keyed by value,
+    which would merge ``-0.0`` with ``0.0``, so a zero's text is never stored.
     """
     text = float.__repr__
-    verdict_json = _VERDICT_JSON
+    id_texts = _ID_TEXTS
+    trustworthy = _TRUSTWORTHY
+    # per round: (verdict, weight) -> entry tail, settled score -> text
+    trusting: dict[float, str] = {}
+    distrusting: dict[float, str] = {}
+    settled_texts: dict[float, str] = {}
     entries = []
     after = []
     for agent, answer, weight, score in zip(
         outcome.responders, outcome.answers, outcome.weights, settled
     ):
-        advisor = str(agent.value)
-        entries.append(
-            f'{{"advisor": {advisor}, "credibility": {text(weight)}, '
-            f'"verdict": {verdict_json[answer]}}}'
-        )
-        after.append(f'"{advisor}": {text(score)}')
+        heads = id_texts.get(agent)
+        if heads is None:
+            advisor = str(agent.value)
+            heads = id_texts[agent] = (
+                f'{{"advisor": {advisor}, "credibility": ',
+                f'"{advisor}": ',
+            )
+        tails = trusting if answer is trustworthy else distrusting
+        tail = tails.get(weight)
+        if tail is None:
+            verdict = _TRUSTWORTHY_JSON if answer is trustworthy else _UNTRUSTWORTHY_JSON
+            tail = f'{text(weight)}, "verdict": {verdict}}}'
+            if weight:
+                tails[weight] = tail
+        score_text = settled_texts.get(score)
+        if score_text is None:
+            score_text = text(score)
+            if score:
+                settled_texts[score] = score_text
+        entries.append(heads[0] + tail)
+        after.append(heads[1] + score_text)
     # '"' sorts below every character of an id, so the entries sort as their ids
     after.sort()
     beliefs = outcome.beliefs
@@ -230,6 +311,7 @@ def _trace_line(
         position += f'"iteration": {iteration}, '
     abstainers = ", ".join([str(agent.value) for agent in outcome.abstainers])
     not_polled = ", ".join([str(agent.value) for agent in outcome.not_polled])
+    verdict = _TRUSTWORTHY_JSON if outcome.verdict is trustworthy else _UNTRUSTWORTHY_JSON
     return (
         f'{{"abstainers": [{abstainers}], "beliefs": {{"distrust": {text(beliefs.distrust)}, '
         f'"trust": {text(beliefs.trust)}, "uncertainty": {text(beliefs.uncertainty)}}}, '
@@ -237,5 +319,5 @@ def _trace_line(
         f'"estimated_trust": {text(outcome.estimated_trust)}, {position}'
         f'"not_polled": [{not_polled}], "requester": {request.requester.value}, '
         f'"responders": [{", ".join(entries)}], "subject": {request.subject.value}, '
-        f'"verdict": {verdict_json[outcome.verdict]}}}'
+        f'"verdict": {verdict}}}'
     )

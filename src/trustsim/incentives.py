@@ -11,6 +11,8 @@ they ask.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -38,7 +40,7 @@ class InquiryLedger:
             raise ValueError("initial budget must be nonnegative")
         self.initial_budget = int(initial_budget)
         self._budget: dict[Pair, int] = {}
-        self._answered: dict[Pair, int] = {}
+        self._answered: Counter[Pair] = Counter()
 
     def budget(self, asker: AgentId, provider: AgentId) -> int:
         return self._budget.get((asker, provider), self.initial_budget)
@@ -85,10 +87,7 @@ class InquiryLedger:
     def tally(self, answerers: Iterable[AgentId], requester: AgentId) -> None:
         """Count one answer of each answerer to ``requester``, in order; an
         answerer listed twice is counted twice."""
-        answered = self._answered
-        for answerer in answerers:
-            key = (answerer, requester)
-            answered[key] = answered.get(key, 0) + 1
+        self._answered.update(zip(answerers, repeat(requester)))
 
     def replenish(
         self,
@@ -120,7 +119,7 @@ class InquiryLedger:
     def drop_agent(self, agent: AgentId) -> None:
         """Forget every pair involving ``agent`` (identity retirements)."""
         self._budget = {k: v for k, v in self._budget.items() if agent not in k}
-        self._answered = {k: v for k, v in self._answered.items() if agent not in k}
+        self._answered = Counter({k: v for k, v in self._answered.items() if agent not in k})
 
     def save(self, path: str | Path) -> None:
         """Flat three-column snapshot of budgets and open answer tallies."""

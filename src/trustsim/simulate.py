@@ -43,7 +43,14 @@ from .advisor import (
 )
 from .core import AgentId, IdentityIssuer
 from .credibility import CredibilityLedger
-from .engine import RecommendationRequest, Responder, run_round
+from .engine import (
+    Polls,
+    RecommendationRequest,
+    Responder,
+    RoundOutcome,
+    conclude_round,
+    poll,
+)
 from .epinions import EpinionsData, ground_truth_trust, ingest_epinions
 from .incentives import InquiryLedger
 
@@ -280,6 +287,45 @@ def _responder_for(
     return inverting_responder(agent.state)
 
 
+def run_round(
+    request: RecommendationRequest,
+    polls: Polls,
+    credibility: CredibilityLedger,
+    inquiries: InquiryLedger,
+    trace: Callable[[str], None] | None = None,
+    *,
+    iteration: int,
+    item: int,
+) -> RoundOutcome:
+    """One scenario round from the answers ``polls`` already holds.
+
+    The system spends its inquiries toward every eligible identity, as
+    :func:`~trustsim.engine.run_round` does, and concludes from the answers
+    of the identities it could ask: where an inquiry was refused, that
+    identity is dropped from ``polls`` and listed as not polled. Given the
+    same answers, the outcome, the ledgers and the trace line are those of
+    :func:`~trustsim.engine.run_round`.
+    """
+    eligible = request.eligible
+    granted = inquiries.spend(request.requester, eligible)
+    if not all(granted):
+        refused = {advisor for advisor, asked in zip(eligible, granted) if not asked}
+        kept = [
+            (advisor, answer)
+            for advisor, answer in zip(polls.responders, polls.answers)
+            if advisor not in refused
+        ]
+        polls = Polls(
+            tuple(advisor for advisor, _ in kept),
+            tuple(answer for _, answer in kept),
+            tuple(advisor for advisor in polls.abstainers if advisor not in refused),
+            tuple(advisor for advisor in eligible if advisor in refused),
+        )
+    return conclude_round(
+        request, polls, credibility, inquiries, trace, iteration=iteration, item=item
+    )
+
+
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else math.nan
 
@@ -352,6 +398,7 @@ def run_scenario(
     skipped = 0
 
     for iteration in range(1, n_iters + 1):
+        changed = iteration == 1 or kind is AttackKind.CAMOUFLAGE
         if kind is AttackKind.WHITEWASHING:
             for agent in agents:
                 if not agent.is_attacker:
@@ -364,19 +411,31 @@ def run_scenario(
                     credibility.drop(old)
                     inquiries.drop_agent(old)
                     retired.append(old)
+                    changed = True
 
-        population = {
-            agent.state.identity: _responder_for(
-                agent, kind, config.switch_iteration, iteration
-            )
-            for agent in agents
-        }
-        eligible = tuple(agent.state.identity for agent in agents)
+        # Each identity's answer to each item is polled once per population: a
+        # population lasts until an identity changes (a whitewash reset) or
+        # the policies do (camouflage, every iteration).
+        if changed:
+            eligible = tuple(agent.state.identity for agent in agents)
+            policies = [
+                _responder_for(agent, kind, config.switch_iteration, iteration)
+                for agent in agents
+            ]
+            requests = [
+                RecommendationRequest(system, item_id, spec.features, eligible)
+                for spec, item_id in zip(item_specs, item_ids)
+            ]
+            polls = [
+                poll(eligible, policies, request.subject, request.subject_features)
+                for request in requests
+            ]
 
-        for item_index, (spec, item_id) in enumerate(zip(item_specs, item_ids)):
-            request = RecommendationRequest(system, item_id, spec.features, eligible)
+        for item_index, (spec, request, item_polls) in enumerate(
+            zip(item_specs, requests, polls)
+        ):
             outcome = run_round(
-                request, population, credibility, inquiries, trace,
+                request, item_polls, credibility, inquiries, trace,
                 iteration=iteration, item=item_index,
             )
             if outcome.responders:

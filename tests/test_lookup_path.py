@@ -1,7 +1,8 @@
 """The round path does its work by lookup: each tree is walked once per
-distinct feature tuple, the fold makes no function call per step, and the
-ledger settles each distinct (score, verdict) pair once. These tests pin that
-the lookups are taken and that they never hand back a stale answer.
+distinct feature tuple, a scenario asks each identity about each item once per
+population, the fold makes no function call per step, and the ledger settles
+each distinct (score, verdict) pair once. These tests pin that the lookups are
+taken and that they never hand back a stale answer.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from trustsim import adversary, advisor
+from trustsim import adversary, advisor, simulate
 from trustsim.adversary import (
     camouflage_responder,
     inverting_responder,
@@ -180,6 +181,70 @@ def test_memo_is_not_part_of_the_tree_value(state, issuer):
     assert "verdicts" not in repr(state.tree)
     # a tree derived from another does not inherit its answers
     assert dataclasses.replace(state.tree, n_features=3).verdicts == {}
+
+
+# ---------------------------------------------------------------------------
+# polls: each identity asked once per item per population
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def responder_calls(monkeypatch):
+    """Every call of a responder that ``run_scenario`` builds, by (identity,
+    subject)."""
+    counted = Counter()
+    for name in ("honest_responder", "inverting_responder", "camouflage_responder"):
+
+        def make(state, *args, factory=getattr(simulate, name)):
+            respond = factory(state, *args)
+
+            def counting(subject, features):
+                counted[(state.identity, subject)] += 1
+                return respond(subject, features)
+
+            return counting
+
+        monkeypatch.setattr(simulate, name, make)
+    return counted
+
+
+POLL_CONFIG = dict(
+    seed=5, n_advisors=8, n_items=3, n_iterations=7, attacker_fraction=0.5,
+    sybil_count=2, reset_period=3, switch_iteration=4, records_per_advisor=20, k_folds=3,
+)
+
+
+@pytest.mark.parametrize("kind", ["none", "sybil"])
+def test_a_fixed_population_is_polled_once_per_identity_and_item(responder_calls, kind):
+    config = ScenarioConfig(attack_kind=kind, **POLL_CONFIG)
+    result = run_scenario(config)
+    identities = len(result.final_identities)
+    assert sum(responder_calls.values()) == identities * config.n_items
+    assert set(responder_calls.values()) == {1}
+
+
+def test_whitewash_polls_again_after_each_reset(responder_calls):
+    config = ScenarioConfig(attack_kind="whitewashing", **POLL_CONFIG)
+    result = run_scenario(config)
+    # one population at iteration 1, and a new one at iterations 3 and 6
+    populations = 3
+    assert len(result.retired_identities) == 2 * 4
+    assert sum(responder_calls.values()) == (
+        populations * config.n_advisors * config.n_items
+    )
+    # an identity is asked once per item in each population it lives in
+    assert max(responder_calls.values()) == populations
+    for retired in result.retired_identities:
+        assert {responder_calls[key] for key in responder_calls if key[0] == retired} == {1}
+
+
+def test_camouflage_polls_every_iteration(responder_calls):
+    config = ScenarioConfig(attack_kind="camouflage", **POLL_CONFIG)
+    run_scenario(config)
+    assert sum(responder_calls.values()) == (
+        config.n_iterations * config.n_advisors * config.n_items
+    )
+    assert set(responder_calls.values()) == {config.n_iterations}
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ must carry the same bits. The saturated cases pile 200+ capped voters on both
 sides, where the fold is most sensitive to the order of operations. A round
 builds each distinct (verdict, credibility) mass once and fuses it once per
 responder; its beliefs must carry the bits of a fold over one fresh mass per
-responder.
+responder. A scenario round concludes from answers polled once per population;
+it must give every bit the library round gives.
 """
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trustsim import engine, simulate
 from trustsim.core import AgentId, Probability, Verdict
 from trustsim.credibility import CredibilityLedger, _settled_score
 from trustsim.engine import RecommendationRequest, RoundFailure, run_round
@@ -30,6 +34,7 @@ from trustsim.dst import (
     decide,
     mass_from_recommendation,
 )
+from trustsim.simulate import ATTACK_KINDS, ScenarioConfig, run_scenario
 
 T, N = Verdict.TRUSTWORTHY, Verdict.UNTRUSTWORTHY
 
@@ -362,3 +367,100 @@ def test_fraction_oracle_decides_the_larger_capped_side():
 def test_saturated_fold_decides_like_exact_dempster():
     trust, distrust, _ = fraction_dempster(SIXTY_T_SEVENTY_N)
     assert decide(combine_all(SIXTY_T_SEVENTY_N)) is _verdict(trust, distrust)
+
+
+# ---------------------------------------------------------------------------
+# the scenario round against the library round
+# ---------------------------------------------------------------------------
+
+
+def outcome_bits(outcome):
+    beliefs = outcome.beliefs
+    return (
+        tuple(float(x).hex() for x in (beliefs.trust, beliefs.distrust, beliefs.uncertainty)),
+        outcome.verdict,
+        float(outcome.estimated_trust).hex(),
+        outcome.responders,
+        outcome.answers,
+        tuple(float(weight).hex() for weight in outcome.weights),
+        outcome.abstainers,
+        outcome.not_polled,
+    )
+
+
+def ledgers_bits(credibility, inquiries):
+    """Both ledgers' entries in insertion order, scores by their type and bits."""
+    return (
+        ledger_bits(credibility),
+        list(vars(inquiries)["_budget"].items()),
+        list(vars(inquiries)["_answered"].items()),
+    )
+
+
+#: Per draw: the system's initial budget. 0 leaves every advisor unpolled;
+#: 1 and 2 run dry within an iteration of 3 or 4 items.
+BUDGETS = (None, 0, 1, 2)
+
+
+def random_desk_config(kind, draw):
+    rng = random.Random(f"{kind}-{draw}")
+    return ScenarioConfig(
+        seed=rng.randrange(10_000),
+        attack_kind=kind,
+        n_advisors=rng.randint(4, 8),
+        n_items=rng.randint(3, 4),
+        n_iterations=rng.randint(3, 6),
+        attacker_fraction=rng.choice([0.3, 0.5]),
+        sybil_count=rng.randint(1, 3),
+        switch_iteration=rng.randint(1, 4),
+        reset_period=rng.randint(1, 3),
+        initial_budget=BUDGETS[draw],
+        period_length=rng.randint(1, 2),
+        initial_credibility=rng.choice([0.0, 0.5, 1.0]),
+        noise=rng.choice([0.0, 0.1, 0.3]),
+        records_per_advisor=20,
+        k_folds=3,
+    )
+
+
+@pytest.mark.parametrize("draw", range(len(BUDGETS)))
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
+    """Each round of a scenario, run again by ``engine.run_round`` on copies of
+    the ledgers and over the population the scenario polled, gives the same
+    outcome, ledgers and trace line, bit for bit."""
+    config = random_desk_config(kind, draw)
+    populations = []
+    polled = simulate.poll
+
+    def recording_poll(eligible, policies, *args):
+        populations.append(dict(zip(eligible, policies)))
+        return polled(eligible, policies, *args)
+
+    scenario_round = simulate.run_round
+    starved = []
+
+    def both_rounds(request, polls, credibility, inquiries, trace, *, iteration, item):
+        ledgers = copy.deepcopy((credibility, inquiries))
+        library_lines, lines = [], []
+        expected = engine.run_round(
+            request, populations[-1], *ledgers, library_lines.append,
+            iteration=iteration, item=item,
+        )
+        outcome = scenario_round(
+            request, polls, credibility, inquiries, lines.append, iteration=iteration, item=item
+        )
+        assert outcome_bits(outcome) == outcome_bits(expected)
+        assert ledgers_bits(credibility, inquiries) == ledgers_bits(*ledgers)
+        assert lines == library_lines
+        starved.append(bool(outcome.not_polled))
+        trace(lines[0])
+        return outcome
+
+    monkeypatch.setattr(simulate, "poll", recording_poll)
+    monkeypatch.setattr(simulate, "run_round", both_rounds)
+    result = run_scenario(config, trace=lambda line: None)
+    assert len(starved) == config.n_items * config.n_iterations
+    assert any(starved) is (config.initial_budget is not None)
+    if kind == "whitewashing":
+        assert result.retired_identities and len(populations) > config.n_items
