@@ -169,6 +169,34 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: The fields ``report`` reads from a ``summary.json``, and the values each may hold.
+_SUMMARY_FIELDS = {
+    "attack": (str,),
+    "mae_mean": (int, float),
+    "mae_std": (int, float),
+    "mae_plain_mean": (int, float),
+    "mae_plain_std": (int, float),
+}
+
+
+def _read_summary(path: Path) -> dict:
+    """The summary a run wrote to ``path``; ``ValueError`` says what is wrong
+    with a file that is not one."""
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"is not valid JSON: {exc}") from None
+    if not isinstance(summary, dict):
+        raise ValueError("must hold a JSON object")
+    for key, kinds in _SUMMARY_FIELDS.items():
+        if key not in summary:
+            raise ValueError(f"has no {key!r}")
+        value = summary[key]
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ValueError(f"holds {key!r} = {value!r}, not a {kinds[-1].__name__}")
+    return summary
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     rows: list[tuple[str, dict]] = []
     for directory in args.dirs:
@@ -176,7 +204,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not summary_path.exists():
             print(f"error: {directory} has no summary.json", file=sys.stderr)
             return EXIT_USAGE
-        rows.append((directory.name, json.loads(summary_path.read_text(encoding="utf-8"))))
+        try:
+            rows.append((directory.name, _read_summary(summary_path)))
+        except ValueError as exc:
+            print(f"error: {summary_path} {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     seen_attacks: dict[str, int] = {}
     lines = ["attack  mae_mean  mae_std  mae_plain_mean  mae_plain_std  run"]

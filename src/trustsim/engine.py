@@ -11,7 +11,9 @@ A round is two steps: collection (:func:`poll`, which asks each advisor whose
 inquiry was granted) and the conclusion (:func:`conclude_round`, which weighs,
 fuses, decides, settles and writes the trace line). :func:`run_round` runs
 both; a caller that already knows what each advisor would answer, like the
-simulator, concludes from those answers directly.
+simulator, concludes from those answers directly, and may hand it a
+:data:`FusionMemo` so that a round repeating an earlier round's answers and
+weights reuses that round's fusion.
 
 Advisors appear here only as opaque callables keyed by identity; whatever
 behavior hides behind a callable is invisible to this module.
@@ -38,6 +40,14 @@ from .incentives import InquiryLedger
 
 #: An advisor's answer policy: a verdict, or None to abstain.
 Responder = Callable[[AgentId, Sequence[float]], "Verdict | None"]
+
+#: Fusions already made, for :func:`conclude_round`: a round's answers mapped
+#: to the weights they were fused with and what that fusion gave (beliefs,
+#: verdict, estimated trust), for the last round that fused those answers.
+FusionMemo = dict[
+    tuple[Verdict, ...],
+    tuple[tuple[Probability, ...], tuple[MassFunction, Verdict, Probability]],
+]
 
 
 class RoundFailure(RuntimeError):
@@ -172,42 +182,39 @@ def conclude_round(
     *,
     iteration: int | None = None,
     item: int | None = None,
+    memo: FusionMemo | None = None,
 ) -> RoundOutcome:
     """Conclude a round from what was collected: weigh, fuse, decide, settle.
 
     Each responder's verdict is weighted by its score before the round (read
-    in one ``CredibilityLedger.scores`` call). Responders share a handful of
-    (verdict, score) pairs once credibility saturates, so each distinct mass
-    is built once a round and fused once per responder. The responders are
-    then settled in one ``CredibilityLedger.batch_update`` call and their
-    answers tallied in one ``InquiryLedger.tally`` call; no object is built
-    per responder.
+    in one ``CredibilityLedger.scores`` call) and the verdicts are fused
+    (:func:`_fuse`). The responders are then settled in one
+    ``CredibilityLedger.batch_update`` call and their answers tallied in one
+    ``InquiryLedger.tally`` call; no object is built per responder.
+
+    The fusion (beliefs, verdict and estimated trust) depends on nothing but
+    the answers and the weights, in order. With ``memo`` (see
+    :data:`FusionMemo`), a round whose answers are in it with equal weights
+    reuses the stored fusion; any other round fuses and stores its own. Equal
+    weights give the same bits except that ``-0.0 == 0.0``, so a round with a
+    zero weight is never stored. A round that fails is not stored either.
+    Settling, tallying, the outcome and the trace line happen on every
+    round. Without ``memo`` every round fuses.
 
     ``trace`` (if given) receives the round's record as one JSON line without
     the newline (see :func:`_trace_line`) before this call returns, with
     ``iteration`` and ``item`` among its fields when they are given.
     """
     responders, answers = polls.responders, polls.answers
-    weights = credibility.scores(responders)
+    weights = tuple(credibility.scores(responders))
     if responders:
-        trusting: dict[float, MassFunction] = {}
-        distrusting: dict[float, MassFunction] = {}
-        masses: list[MassFunction] = []
-        for answer, score in zip(answers, weights):
-            built = trusting if answer is _TRUSTWORTHY else distrusting
-            mass = built.get(score)
-            if mass is None:
-                mass = built[score] = mass_from_recommendation(answer, score)
-            masses.append(mass)
-        try:
-            beliefs = combine_all(masses)
-        except TotalConflict as exc:
-            raise RoundFailure(
-                f"total conflict aggregating {len(masses)} recommendations "
-                f"about subject {request.subject.value}"
-            ) from exc
-        verdict = decide(beliefs)
-        trust = estimated_trust(beliefs)
+        fused = memo.get(answers) if memo is not None else None
+        if fused is not None and fused[0] == weights:
+            beliefs, verdict, trust = fused[1]
+        else:
+            beliefs, verdict, trust = fusion = _fuse(request, answers, weights)
+            if memo is not None and all(weights):
+                memo[answers] = (weights, fusion)
         credibility.batch_update(responders, answers, beliefs)
         if inquiries is not None:
             inquiries.tally(responders, request.requester)
@@ -222,7 +229,7 @@ def conclude_round(
         trust,
         responders,
         answers,
-        tuple(weights),
+        weights,
         polls.abstainers,
         polls.not_polled,
     )
@@ -230,6 +237,36 @@ def conclude_round(
         settled = credibility.scores(responders)
         trace(_trace_line(request, outcome, settled, iteration, item))
     return outcome
+
+
+def _fuse(
+    request: RecommendationRequest,
+    answers: Sequence[Verdict],
+    weights: Sequence[Probability],
+) -> tuple[MassFunction, Verdict, Probability]:
+    """The beliefs fused from ``answers`` weighted by ``weights``, the verdict
+    and the estimated trust; :class:`RoundFailure` on total conflict.
+
+    Responders share a handful of (verdict, weight) pairs once credibility
+    saturates, so each distinct mass is built once and fused once per
+    answer."""
+    trusting: dict[float, MassFunction] = {}
+    distrusting: dict[float, MassFunction] = {}
+    masses: list[MassFunction] = []
+    for answer, score in zip(answers, weights):
+        built = trusting if answer is _TRUSTWORTHY else distrusting
+        mass = built.get(score)
+        if mass is None:
+            mass = built[score] = mass_from_recommendation(answer, score)
+        masses.append(mass)
+    try:
+        beliefs = combine_all(masses)
+    except TotalConflict as exc:
+        raise RoundFailure(
+            f"total conflict aggregating {len(masses)} recommendations "
+            f"about subject {request.subject.value}"
+        ) from exc
+    return beliefs, decide(beliefs), estimated_trust(beliefs)
 
 
 #: Each verdict as JSON text.

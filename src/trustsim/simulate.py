@@ -44,6 +44,7 @@ from .advisor import (
 from .core import AgentId, IdentityIssuer
 from .credibility import CredibilityLedger
 from .engine import (
+    FusionMemo,
     Polls,
     RecommendationRequest,
     Responder,
@@ -296,14 +297,16 @@ def run_round(
     *,
     iteration: int,
     item: int,
+    memo: FusionMemo | None = None,
 ) -> RoundOutcome:
     """One scenario round from the answers ``polls`` already holds.
 
     The system spends its inquiries toward every eligible identity, as
     :func:`~trustsim.engine.run_round` does, and concludes from the answers
     of the identities it could ask: where an inquiry was refused, that
-    identity is dropped from ``polls`` and listed as not polled. Given the
-    same answers, the outcome, the ledgers and the trace line are those of
+    identity is dropped from ``polls`` and listed as not polled. ``memo``
+    goes to :func:`~trustsim.engine.conclude_round`. Given the same answers,
+    the outcome, the ledgers and the trace line are those of
     :func:`~trustsim.engine.run_round`.
     """
     eligible = request.eligible
@@ -322,7 +325,8 @@ def run_round(
             tuple(advisor for advisor in eligible if advisor in refused),
         )
     return conclude_round(
-        request, polls, credibility, inquiries, trace, iteration=iteration, item=item
+        request, polls, credibility, inquiries, trace,
+        iteration=iteration, item=item, memo=memo,
     )
 
 
@@ -415,8 +419,10 @@ def run_scenario(
 
         # Each identity's answer to each item is polled once per population: a
         # population lasts until an identity changes (a whitewash reset) or
-        # the policies do (camouflage, every iteration).
+        # the policies do (camouflage, every iteration). Its rounds share one
+        # fusion memo, which this call alone holds.
         if changed:
+            memo: FusionMemo = {}
             eligible = tuple(agent.state.identity for agent in agents)
             policies = [
                 _responder_for(agent, kind, config.switch_iteration, iteration)
@@ -436,7 +442,7 @@ def run_scenario(
         ):
             outcome = run_round(
                 request, item_polls, credibility, inquiries, trace,
-                iteration=iteration, item=item_index,
+                iteration=iteration, item=item_index, memo=memo,
             )
             if outcome.responders:
                 error = abs(spec.ground_truth - float(outcome.estimated_trust))

@@ -492,6 +492,28 @@ def test_report_empty_dir_exits_2(tmp_path):
     assert run_cli("report", str(empty)) == 2
 
 
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ('{"attack": "sybil", "mae_mean": 0.01', "is not valid JSON"),
+        ('{"seed": 1}', "has no 'attack'"),
+        ('["sybil"]', "must hold a JSON object"),
+        ('{"attack": "sybil", "mae_mean": "low"}', "'mae_mean' = 'low'"),
+    ],
+    ids=["truncated", "missing-key", "not-an-object", "not-a-number"],
+)
+def test_report_malformed_summary_exits_2_naming_the_file(tmp_path, capsys, text, complaint):
+    _write_summary(tmp_path / "good", "none")
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "summary.json").write_text(text)
+    assert run_cli("report", str(tmp_path / "good"), str(bad)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(bad / "summary.json") in err
+    assert complaint in err
+
+
 def test_report_writes_output_file(tmp_path):
     _write_summary(tmp_path / "one", "none")
     table = tmp_path / "table.txt"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from trustsim.core import (
@@ -67,3 +70,16 @@ def test_verdict_inversion_is_involutive():
     for verdict in Verdict:
         assert verdict.inverted() is not verdict
         assert verdict.inverted().inverted() is verdict
+
+
+@pytest.mark.parametrize("verdict", list(Verdict), ids=lambda verdict: verdict.name)
+def test_verdict_hashes_by_identity_and_survives_copies(verdict):
+    # a round's answers tuple is a dict key, so each member hashes in C, by identity
+    assert hash(verdict) == object.__hash__(verdict)
+    table = {verdict: "found", (verdict, verdict): "pair"}
+    for again in (copy.deepcopy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert again is verdict
+        assert hash(again) == hash(verdict)
+        assert table[again] == "found"
+        assert table[(again, again)] == "pair"
+    assert table.get(verdict.inverted()) is None

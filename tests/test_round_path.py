@@ -9,10 +9,13 @@ sides, where the fold is most sensitive to the order of operations. A round
 builds each distinct (verdict, credibility) mass once and fuses it once per
 responder; its beliefs must carry the bits of a fold over one fresh mass per
 responder. A scenario round concludes from answers polled once per population;
-it must give every bit the library round gives.
+it must give every bit the library round gives, also where it reuses an earlier
+round's fusion, and it must fuse exactly the rounds its trace says it must.
 """
 
 import copy
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -416,7 +419,7 @@ def random_desk_config(kind, draw):
         reset_period=rng.randint(1, 3),
         initial_budget=BUDGETS[draw],
         period_length=rng.randint(1, 2),
-        initial_credibility=rng.choice([0.0, 0.5, 1.0]),
+        initial_credibility=rng.choice([0.0, -0.0, 0.5, 1.0]),
         noise=rng.choice([0.0, 0.1, 0.3]),
         records_per_advisor=20,
         k_folds=3,
@@ -428,7 +431,9 @@ def random_desk_config(kind, draw):
 def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
     """Each round of a scenario, run again by ``engine.run_round`` on copies of
     the ledgers and over the population the scenario polled, gives the same
-    outcome, ledgers and trace line, bit for bit."""
+    outcome, ledgers and trace line, bit for bit. The scenario round keeps
+    its fusion memo, so a round that reuses an earlier fusion is checked
+    against a fresh one."""
     config = random_desk_config(kind, draw)
     populations = []
     polled = simulate.poll
@@ -440,7 +445,7 @@ def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
     scenario_round = simulate.run_round
     starved = []
 
-    def both_rounds(request, polls, credibility, inquiries, trace, *, iteration, item):
+    def both_rounds(request, polls, credibility, inquiries, trace, *, iteration, item, memo):
         ledgers = copy.deepcopy((credibility, inquiries))
         library_lines, lines = [], []
         expected = engine.run_round(
@@ -448,7 +453,8 @@ def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
             iteration=iteration, item=item,
         )
         outcome = scenario_round(
-            request, polls, credibility, inquiries, lines.append, iteration=iteration, item=item
+            request, polls, credibility, inquiries, lines.append,
+            iteration=iteration, item=item, memo=memo,
         )
         assert outcome_bits(outcome) == outcome_bits(expected)
         assert ledgers_bits(credibility, inquiries) == ledgers_bits(*ledgers)
@@ -464,3 +470,108 @@ def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
     assert any(starved) is (config.initial_budget is not None)
     if kind == "whitewashing":
         assert result.retired_identities and len(populations) > config.n_items
+
+
+# ---------------------------------------------------------------------------
+# the fusion memo: which rounds fuse, read from the trace alone
+# ---------------------------------------------------------------------------
+
+
+def expected_fusions(kind, records):
+    """How many rounds must fuse, from the trace lines of one scenario.
+
+    A population lasts while the identities asked stay the same (a whitewash
+    reset replaces one) and, under camouflage, for one iteration. Within one,
+    a round fuses unless its (verdicts, weights) equal those of the last round
+    with the same verdicts that was kept; a round with a zero weight fuses and
+    is not kept. A round nobody answers fuses nothing.
+    """
+    fusions, population, kept = 0, None, {}
+    for record in records:
+        ids = [entry["advisor"] for entry in record["responders"]]
+        asked = frozenset(ids + record["abstainers"] + record["not_polled"])
+        key = (asked, record["iteration"] if kind == "camouflage" else None)
+        if key != population:
+            population, kept = key, {}
+        if not ids:
+            continue
+        verdicts = tuple(entry["verdict"] for entry in record["responders"])
+        weights = tuple(entry["credibility"] for entry in record["responders"])
+        if 0.0 in weights:
+            fusions += 1
+        elif kept.get(verdicts) != weights:
+            fusions += 1
+            kept[verdicts] = weights
+    return fusions
+
+
+def test_fusion_memo_keeps_the_sign_of_a_zero_weight():
+    """One responder weighted -0.0 fuses to ``trust = -0.0``, and -0.0 == 0.0,
+    so a round with a zero weight is not kept; one without is, and the next
+    round with equal answers and weights reuses its fusion."""
+    advisor = AgentId(1)
+    request = RecommendationRequest(AgentId(100), AgentId(200), (0.5,), (advisor,))
+    polls = engine.Polls((advisor,), (T,), (), ())
+    memo = {}
+
+    def conclude(score, memo=None):
+        ledger = CredibilityLedger()
+        ledger.set(advisor, score)
+        return engine.conclude_round(request, polls, ledger, memo=memo)
+
+    for score in (-0.0, 0.0, -0.0):
+        outcome = conclude(score, memo)
+        assert outcome_bits(outcome) == outcome_bits(conclude(score))
+        assert math.copysign(1.0, outcome.beliefs.trust) == math.copysign(1.0, score)
+    assert memo == {}
+    first = conclude(0.5, memo)
+    assert memo == {(T,): ((0.5,), (first.beliefs, first.verdict, first.estimated_trust))}
+    again = conclude(0.5, memo)
+    assert again.beliefs is first.beliefs
+    assert outcome_bits(again) == outcome_bits(conclude(0.5))
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("initial", [0.5, -0.0, 1.0], ids=["0.5", "-0.0", "1.0"])
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_fusion_memo_fuses_what_the_trace_says(monkeypatch, kind, initial, budget):
+    """``combine_all`` runs once per round the trace says must fuse; the memo
+    lives for one population of one ``run_scenario`` call, so two calls of one
+    config fuse equally often."""
+    config = ScenarioConfig(
+        seed=11,
+        attack_kind=kind,
+        n_advisors=8,
+        n_items=3,
+        n_iterations=8,
+        sybil_count=2,
+        switch_iteration=3,
+        reset_period=3,
+        initial_budget=budget,
+        initial_credibility=initial,
+        records_per_advisor=20,
+        k_folds=3,
+    )
+    fused = []
+    combine = engine.combine_all
+
+    def counting(masses):
+        fused[-1] += 1
+        return combine(masses)
+
+    monkeypatch.setattr(engine, "combine_all", counting)
+    traces = []
+    for _ in range(2):
+        fused.append(0)
+        traces.append([])
+        run_scenario(config, trace=traces[-1].append)
+    assert traces[0] == traces[1]
+    assert fused[0] == fused[1]
+    records = [json.loads(line) for line in traces[0]]
+    answered = sum(1 for record in records if record["responders"])
+    assert fused[0] == expected_fusions(kind, records)
+    if kind == "camouflage" or initial == 0.0:
+        assert fused[0] == answered
+    elif initial == 0.5 and budget is None:
+        # these populations outlast an iteration and repeat rounds
+        assert fused[0] < answered
