@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .advisor import AdvisorState
 from .core import AgentId, IdentityIssuer, Verdict
-from .tree import predict, recalled
+from .tree import predict
 
 
 class AttackKind(Enum):
@@ -38,7 +38,7 @@ def dishonest_verdict(advisor: AdvisorState, subject_features: Sequence[float]) 
     """The inversion policy. Attackers skip the self-withdrawal step: staying
     in the round is the whole point of attacking, so the classifier is used
     even when the advisor's self-assessment said to abstain."""
-    return recalled(advisor.tree, subject_features, predict).inverted()
+    return predict(advisor.tree, subject_features).inverted()
 
 
 def camouflage_verdict(
@@ -100,7 +100,7 @@ def camouflage_responder(advisor: AdvisorState, switch_iteration: int, current_i
     Always answers: a camouflage attacker will not volunteer to sit out."""
 
     def respond(subject: AgentId, subject_features: Sequence[float]) -> Verdict | None:
-        honest = recalled(advisor.tree, subject_features, predict)
+        honest = predict(advisor.tree, subject_features)
         return camouflage_verdict(honest, current_iteration, switch_iteration)
 
     return respond

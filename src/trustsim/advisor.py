@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import AgentId, Probability, Verdict
 # ``fit`` has no caller here; the benchmark harness wraps ``advisor.fit`` by name.
-from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict, recalled  # noqa: F401
+from .tree import DecisionTree, EmptyDataset, fit, fit_many, predict  # noqa: F401
 
 #: A dataset label's letter in the CSV format, indexed by the label.
 _LABEL_LETTERS = (Verdict.UNTRUSTWORTHY.value, Verdict.TRUSTWORTHY.value)
@@ -170,11 +170,10 @@ def build_advisor(
 
 def advisor_verdict(advisor: AdvisorState, subject_features: Sequence[float]) -> Verdict | None:
     """Honest answer to a request: None when the advisor self-withdrew,
-    otherwise the tree's prediction for the subject (walked once per distinct
-    feature tuple, :func:`~trustsim.tree.recalled`)."""
+    otherwise the tree's prediction for the subject's features."""
     if not advisor.assessment.participate:
         return None
-    return recalled(advisor.tree, subject_features, predict)
+    return predict(advisor.tree, subject_features)
 
 
 def honest_responder(advisor: AdvisorState):

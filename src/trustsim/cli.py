@@ -105,11 +105,14 @@ def _merge_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _outermost_missing(path: Path) -> Path | None:
-    """The outermost directory that creating ``path`` would create, if any."""
+def _check_out(path: Path) -> Path | None:
+    """``ConfigError`` unless the first of ``path`` and its parents that exists
+    is a directory; else the outermost directory that creating ``path`` makes."""
     missing = None
     for candidate in (path, *path.parents):
         if candidate.exists():
+            if not candidate.is_dir():
+                raise ConfigError("--out", f"{candidate} is not a directory")
             break
         missing = candidate
     return missing
@@ -118,7 +121,7 @@ def _outermost_missing(path: Path) -> Path | None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     out_dir = args.out or Path(f"run_{config.attack_kind}_{config.seed}")
-    created = _outermost_missing(out_dir)
+    created = _check_out(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The trace is written beside its final name and renamed once the run has
     # succeeded; a failed run removes what it created and leaves no partial
@@ -145,6 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     try:
         data = ingest_epinions(args.ratings)
         for user in data.datasets:

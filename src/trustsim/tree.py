@@ -14,7 +14,7 @@ is the one-tree case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Sequence
 
@@ -54,12 +54,6 @@ class Split:
 class DecisionTree:
     root: Leaf | Split
     n_features: int
-    #: Verdicts already given, by the feature tuple asked about (see
-    #: :func:`recalled`). A cache, not part of the tree's value, and never
-    #: passed on: ``dataclasses.replace`` gives the new tree an empty one.
-    verdicts: dict[tuple[float, ...], Verdict] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
 
 def _leaf(count0: int, count1: int) -> Leaf:
@@ -330,22 +324,6 @@ def predict(tree: DecisionTree, features: Sequence[float]) -> Verdict:
     while isinstance(node, Split):
         node = node.left if features[node.feature] <= node.threshold else node.right
     return node.verdict
-
-
-def recalled(tree: DecisionTree, features: Sequence[float], walk) -> Verdict:
-    """``walk(tree, features)``, called once per distinct feature tuple.
-
-    A tree never changes after it is grown, so its verdict on a feature
-    vector never changes either: the first ask walks the tree and later asks
-    are a lookup in ``tree.verdicts``. Identities that share a tree (sybil
-    fakes, whitewash successors) share the memo. Callers pass the ``predict``
-    of their own module as ``walk``, so a wrapper around it sees each walk.
-    """
-    key = tuple(features)
-    verdict = tree.verdicts.get(key)
-    if verdict is None:
-        verdict = tree.verdicts[key] = walk(tree, features)
-    return verdict
 
 
 def depth(tree: DecisionTree) -> int:

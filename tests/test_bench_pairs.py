@@ -1,14 +1,18 @@
-"""``tools/bench_pairs.py``'s expected-maximum summary against brute force.
+"""``tools/bench_pairs.py``'s expected-maximum summary against brute force,
+and its launcher.
 
 The estimate of the expected largest (or second largest) of ``k`` draws,
 from ``n`` repetitions, must be the average of that order statistic over
-every ``k``-subset of the repetitions.
+every ``k``-subset of the repetitions. A run started through the launcher
+must report its own peak memory, not that of the script that started it.
 """
 
 import importlib.util
 import itertools
 import random
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +90,19 @@ def test_summary_with_every_repetition_as_draws_is_the_max_based_one():
     assert got["round_ms_tail"] == pytest.approx(
         sorted(second[a:b].sum() * 1e3 for a, b in rounds)[9]
     )
+
+
+#: Prints the peak resident set of the process it runs in, in MB (Linux units).
+PEAK_MB = [sys.executable, "-c",
+           "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_a_launched_run_reports_its_own_peak_memory():
+    held = b"x" * (100 << 20)  # written, so resident
+    direct = float(subprocess.check_output(PEAK_MB))
+    launched = float(subprocess.check_output(bench_pairs.launched(PEAK_MB)))
+    # a direct child starts with this process's peak; a launched one does not
+    assert direct >= 100
+    assert launched < 50
+    del held

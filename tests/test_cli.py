@@ -412,6 +412,24 @@ def test_ingest_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "ingest"])
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
+def test_out_that_is_not_a_directory_exits_2_naming_it(tmp_path, capsys, command, below):
+    occupied = tmp_path / "FILE"
+    occupied.write_text("kept\n")
+    out = occupied.joinpath(*below)
+    if command == "simulate":
+        argv = ["simulate", "--seed", "1", *FAST]
+    else:
+        # --out is checked before the ratings file is read
+        argv = ["ingest", "--ratings", str(tmp_path / "nope.txt")]
+    code = run_cli(*argv, "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --out: {occupied} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["FILE"]
+    assert occupied.read_text() == "kept\n"
+
+
 
 def test_failed_run_leaves_no_directory_behind(tmp_path, capsys):
     out = tmp_path / "runs" / "d"

@@ -3,13 +3,17 @@ run, pinned by sha256.
 
 Each simulate case runs the CLI into a fresh directory and hashes the files
 that are a pure function of the scenario: the summaries, the series, the
-per-item error matrix and the two ledger snapshots. ``config.json`` is left
-out because it echoes the ratings file's absolute path. ``trace.jsonl`` is
-pinned for three cases (``TRACE_DIGESTS``): ``sybil``, ``sybil-starved``,
-whose exhausted budgets fill the ``not_polled`` lists, and
-``ratings-whitewashing``, which runs on an ingested ratings file. The ingest
-case hashes every file it writes: ``items.csv``, ``stats.txt`` and one
-``datasets/user_<id>.csv`` per user.
+per-item error matrix, the two ledger snapshots and ``trace.jsonl``
+(``TRACE_DIGESTS``). ``config.json`` is left out because it echoes the
+ratings file's absolute path. Besides one small case per attack, the cases
+cover the configurations a change to the round path has to keep: exhausted
+budgets, which fill the ``not_polled`` lists (``sybil-starved`` and the two
+``desk-*-starved`` cases); a run on an ingested ratings file
+(``ratings-whitewashing``); sybil at the acceptance suite's desk scale with
+an initial credibility of -0.0, 0.0 and 1.0 (the zero's sign reaches the
+trace; 1.0 saturates the fusion); and advisors with 200 records each
+(``deep-records``). The ingest case hashes every file it writes:
+``items.csv``, ``stats.txt`` and one ``datasets/user_<id>.csv`` per user.
 
 A change meant to keep every output bit must leave these digests as they are.
 A change that alters outputs on purpose re-records them and says why; so does
@@ -33,6 +37,8 @@ GOLDEN_FILES = (
 )
 
 SMALL = ["--advisors", "8", "--items", "4", "--iterations", "5", "--records-per-advisor", "24"]
+#: The scale of the acceptance suite's attack-trend runs.
+DESK = ["--advisors", "20", "--items", "10", "--iterations", "10"]
 
 CASES = {
     "none": ["--attack", "none", "--seed", "5", *SMALL],
@@ -49,6 +55,24 @@ CASES = {
     "ratings-whitewashing": [
         "--attack", "whitewashing", "--seed", "9", "--reset-period", "2", "--k-folds", "5",
         "--advisors", "8", "--items", "5", "--iterations", "4",
+    ],
+    "desk-sybil-credibility-neg0": ["--attack", "sybil", "--seed", "3",
+                                    "--initial-credibility", "-0.0", *DESK],
+    "desk-sybil-credibility-0": ["--attack", "sybil", "--seed", "3",
+                                 "--initial-credibility", "0.0", *DESK],
+    "desk-sybil-credibility-1": ["--attack", "sybil", "--seed", "3",
+                                 "--initial-credibility", "1.0", *DESK],
+    "desk-camouflage-starved": [
+        "--attack", "camouflage", "--seed", "3", "--switch-iteration", "5",
+        "--initial-budget", "2", *DESK,
+    ],
+    "desk-whitewashing-starved": [
+        "--attack", "whitewashing", "--seed", "3", "--reset-period", "3",
+        "--initial-budget", "2", *DESK,
+    ],
+    "deep-records": [
+        "--attack", "none", "--seed", "3", "--records-per-advisor", "200",
+        "--advisors", "6", "--items", "4", "--iterations", "3",
     ],
 }
 
@@ -101,13 +125,70 @@ DIGESTS = {
         "credibility.tsv": "0b32f660d4e2526323b9a3f93a56dbe252904027f83c449ac0ca972f5923e2bb",
         "inquiries.tsv": "0f8413da5bcc4027138eab23c79111d72aaa81ca8a9202807b49de4a19b6d2a0",
     },
+    "desk-sybil-credibility-neg0": {
+        "summary.txt": "63bdee55ffbf0e080d97f6307d20a9e4874d92fb1fe92e55b2d010245984836a",
+        "summary.json": "780ae67f412999c17c404ecc4b4098816f8fc018ca5f1d52d5c6d569bb03f4f6",
+        "series.csv": "0b45478205829080c32220c28c0ae26a30889ee63be81a230a2c6d3348fc89c4",
+        "per_item_mae.csv": "2d81e83b1f56f33290066fce6bbb0b7feb55ebbaea041de3c19402e5ecea91bf",
+        "credibility.tsv": "d8173d151e01a431e78e0dcd04d20a8746129f32b15a64611800eee2b7b272fb",
+        "inquiries.tsv": "d46181fae5319d048e8b3adb5c740b041a04a42b4955fdfe3486f7487432fd92",
+    },
+    "desk-sybil-credibility-0": {
+        "summary.txt": "63bdee55ffbf0e080d97f6307d20a9e4874d92fb1fe92e55b2d010245984836a",
+        "summary.json": "780ae67f412999c17c404ecc4b4098816f8fc018ca5f1d52d5c6d569bb03f4f6",
+        "series.csv": "0b45478205829080c32220c28c0ae26a30889ee63be81a230a2c6d3348fc89c4",
+        "per_item_mae.csv": "2d81e83b1f56f33290066fce6bbb0b7feb55ebbaea041de3c19402e5ecea91bf",
+        "credibility.tsv": "bf6b2ee40439881c7e546ba46f9b3459b9392df0c10324418a02689ee5c62928",
+        "inquiries.tsv": "d46181fae5319d048e8b3adb5c740b041a04a42b4955fdfe3486f7487432fd92",
+    },
+    "desk-sybil-credibility-1": {
+        "summary.txt": "c658adadd626d53470ae3daa4debfa501e040e57c6c763eafbfbfdb61ab6ec02",
+        "summary.json": "1eac478ea5cb0596f11bbf910b6b3f6eae3b1325c23c03c232ed16a9487c16bc",
+        "series.csv": "3251f8e258f798eb22ff0d627702441a9122bdfdbd027a9ef56737f35a7d1cff",
+        "per_item_mae.csv": "4cd26e6a1e1f2a96a9681bf9d0ff1158bd2ce63fcdec05ea4107ec5b5dd6c4cc",
+        "credibility.tsv": "3d30ed953d481e3ef64b3684d8bf971cbb94ef50af6ef8f89b186ad5ac8d74f9",
+        "inquiries.tsv": "95ade45a78e9f1b4efc4a2e97b045f805ddbfeec05555555942442be4fe6f35a",
+    },
+    "desk-camouflage-starved": {
+        "summary.txt": "8387a8891524c311db082c107192832e74fba5be4889303c5bef9ee43cef1b9c",
+        "summary.json": "f219bd05bb055a9afa790fd17280214a56a6543ca6bd4009fff47285daba24f5",
+        "series.csv": "292b185314d6a9d80e38e79e009d7633be173fc95c756242add22aec3b56acc9",
+        "per_item_mae.csv": "eeea47a256775610f5bd607de02a2616859d473346b919ba01f37bfb200d298e",
+        "credibility.tsv": "2842dcb2699ee1bdfd8981487d31466838120a56ec7e500959a3234a02db2df3",
+        "inquiries.tsv": "1d1a271f35651417ab5c55ef321080d487eebe18ae1e902052d1eba649561f19",
+    },
+    "desk-whitewashing-starved": {
+        "summary.txt": "dbc9a56780a81f27c30c56e8b6bfa348e5ee99f1dc7efc0e6214abb5c4a75b57",
+        "summary.json": "9f1ddae5f0cc58cc47e542adcea327a08af74c84cc93b2fbc7ad1c90a05d6d85",
+        "series.csv": "246723c5da83651d955ddb407723cbafc72b463f448fa433612855b5afa92e67",
+        "per_item_mae.csv": "58da1a14fd836b7a5f38966a246b4a5cda0d147551398b665eed53e563016a26",
+        "credibility.tsv": "0e5ad10a063845b7ed7e8aba030592b0ed08ff645f740691888d9d54d1380e57",
+        "inquiries.tsv": "8c71ce95a00a9d59e8918757038388956562277763165e577717655859350d63",
+    },
+    "deep-records": {
+        "summary.txt": "36a3181feed8a3734dad8cf962d1b46d35d1bc87e049b9f8e973e42251839e6e",
+        "summary.json": "7504d4cf89c8e454d00b6a357351f9eb10250cc1f3804693969460d0e1cc0093",
+        "series.csv": "18e47303da654472895185c22c1143817639f4f3c135a4bf4de13a8aa8f9cc64",
+        "per_item_mae.csv": "05b31c39652982294d9ed40aa8070919ca74f6f706fddf458ad13e48e43906a9",
+        "credibility.tsv": "6a646bb70c0da8051a3c63682ff1c25149e4ed955009182be3351213b9edc291",
+        "inquiries.tsv": "97566a1d9c2c33fff1706ceb5396d20a67551cf588d996116b3dfa7801e38a20",
+    },
 }
 
-#: ``trace.jsonl`` of three cases; a trace schema change re-records them.
+#: ``trace.jsonl`` of every case; a trace schema change re-records them.
 TRACE_DIGESTS = {
     "sybil": "b62d187f3481ea4f62fb6494c536dac6434e2b8e7ac6f15364647f6f0800de9b",
     "sybil-starved": "e8472975754e86f7cee921f2f485b4d50911a2befb1258280d87dd3af5d192fd",
     "ratings-whitewashing": "ce33257d4d32f2d5aca4f26c42bc1cc34f35f569de12171f76cea21f4dea3d3d",
+    "none": "0ed88aa89e0ce5ff5a6fdf890789b20c9cde82138144a09a2185b7f0fcdcfebe",
+    "camouflage": "983ec11c4d17ad7f94c59c0eb355ceaeb286c7b587d26fe1a2c4afd76635e518",
+    "whitewashing": "ce1a81c48efd2ea103235cf4df22ac5634dcce6365756eab5f667b8d1585ff26",
+    "desk-sybil-credibility-neg0": "b6e2525d88471a6e85fe53027b29ef9501e87c310098cf04a7d84215fa84a70c",
+    "desk-sybil-credibility-0": "588cfd0aae103b50d25b349cd4ccb10789cb85a0523d10790cb47f460e7c5fbc",
+    "desk-sybil-credibility-1": "2137fffcdc30797a80a54982b3befd93728d48c3c75350fe0fe445b3d9d93f88",
+    "desk-camouflage-starved": "f66a1e9961467d12b630340a183956a52fd76b3fe118236a465de21b5a4b1478",
+    "desk-whitewashing-starved": "f23c26be86755ef2f540968c29b31fb7076debb06e05f998588c990e11c77bf5",
+    "deep-records": "f25051e94066de6b5930027ea55d6bb76540d514cd3edf6c399750b594d5628d",
 }
 
 #: Every file ``trustsim ingest`` writes for ``write_ratings``' file.
@@ -153,18 +234,15 @@ def digests_of(tmp_path, case):
         write_ratings(ratings)
         argv += ["--ratings", str(ratings)]
     assert main(argv) == 0
-    names = GOLDEN_FILES + (("trace.jsonl",) if case in TRACE_DIGESTS else ())
     return {
         name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
-        for name in names
+        for name in GOLDEN_FILES + ("trace.jsonl",)
     }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_the_recorded_digests(tmp_path, case):
-    expected = dict(DIGESTS[case])
-    if case in TRACE_DIGESTS:
-        expected["trace.jsonl"] = TRACE_DIGESTS[case]
+    expected = {**DIGESTS[case], "trace.jsonl": TRACE_DIGESTS[case]}
     assert digests_of(tmp_path, case) == expected
 
 

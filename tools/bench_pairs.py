@@ -13,13 +13,16 @@ of each one's own ``setup_s`` and ``round_ms_p50`` (read from the run's
 ``.perfbench_out`` result file), each beside its change/parent ratio. The
 per-repetition medians do not move with the repetition count, so they tell a
 change in the work itself from a run that merely fitted more repetitions.
-Beside them it prints ``e6_scenario_s``, ``e6_setup_s``, ``e6_round_ms_p50``
-and ``e6_round_ms_tail``: the benchmark's own summary with each step's slowest
+Beside them it prints ``e2_scenario_s``, ``e2_setup_s``, ``e2_round_ms_p50``
+and ``e2_round_ms_tail``: the benchmark's own summary with each step's slowest
 repetition (second slowest for the tail) replaced by an unbiased estimate of
-its expected maximum (expected second largest) over 6 repetitions, read from
+its expected maximum (expected second largest) over 2 repetitions, read from
 the same result file (``expected_max``). A summary per workload follows: each
 side's median and quartiles, the ratio of the medians and in how many pairs
 the change read lower.
+
+Each run is started through a small launcher process (``launched``), so that
+its ``peak_rss_mb`` is its own and not this script's.
 
 The script only starts the benchmark and reads what it wrote; it imports
 nothing from ``perfbench/`` and writes nothing there.
@@ -42,7 +45,9 @@ METRICS = ("scenario_s", "setup_s", "round_ms_p50", "round_ms_tail", "peak_rss_m
 #: Read from the result file, not from the run's printed metrics.
 REPETITIONS, REP_SETUP, REP_ROUND_P50 = "repetitions", "rep_setup_s", "rep_round_ms_p50"
 #: Draws whose expected maximum stands in for the maximum over every repetition.
-DRAWS = 6
+#: Two draws read at about the repetitions' upper quartile (1.01-1.05 x q3 on
+#: sybil-rounds); six read about 31 % above it.
+DRAWS = 2
 EXPECTED = tuple(f"e{DRAWS}_{name}" for name in METRICS[:4])
 COLUMNS = METRICS + (REPETITIONS, REP_SETUP, REP_ROUND_P50) + EXPECTED
 
@@ -89,6 +94,15 @@ def expected_max(reps: list[dict], k: int = DRAWS) -> dict[str, float]:
     }
 
 
+def launched(command: list[str]) -> list[str]:
+    """``command`` started from a fresh, small Python process. On Linux a child
+    starts with its parent's peak resident set as its own (``ru_maxrss``
+    carries over fork and exec), and this script grows as it reads result
+    files; a run started from the launcher reports its own peak."""
+    launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    return [sys.executable, "-c", launcher, *command]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One benchmark run in ``checkout``: its metrics, repetition count and
     per-repetition medians; exits when the run fails or is wrong."""
@@ -96,7 +110,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    done = subprocess.run(
+        launched(command), cwd=checkout, capture_output=True, text=True, check=False
+    )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.exit(f"bench_pairs: {workload} in {checkout} exited {done.returncode}:\n{done.stderr}")
