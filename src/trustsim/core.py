@@ -11,6 +11,8 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 
 class Probability(float):
     """A float constrained to [0, 1]; construction outside the range fails."""
@@ -80,3 +82,35 @@ class IdentityIssuer:
         agent = AgentId(self._next)
         self._next += 1
         return agent
+
+
+# ---------------------------------------------------------------------------
+# slot vectors: the ledgers keep one entry per identity (or pair) in numpy
+# vectors, indexed by a dense slot
+# ---------------------------------------------------------------------------
+
+
+def grown(vector: np.ndarray, size: int, fill: object) -> np.ndarray:
+    """``vector`` if it holds ``size`` entries, else a copy at least twice as
+    long whose new entries are ``fill``."""
+    if size <= len(vector):
+        return vector
+    extra = max(size, 2 * len(vector)) - len(vector)
+    return np.concatenate((vector, np.full(extra, fill, dtype=vector.dtype)))
+
+
+def repeats(slots: np.ndarray) -> np.ndarray | None:
+    """How many times each entry of ``slots`` already appeared before it, or
+    None when no value appears twice.
+
+    A fancy-index write that names a slot twice keeps only the last value, so
+    a ledger applies a list that repeats a slot in waves: first every entry
+    whose rank here is 0, then every entry ranked 1, and so on.
+    """
+    if len(slots) < 2 or np.bincount(slots).max() < 2:
+        return None
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    ranks = np.empty(len(slots), dtype=np.int64)
+    ranks[order] = np.arange(len(slots)) - np.searchsorted(ranked, ranked)
+    return ranks

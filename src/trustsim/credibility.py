@@ -4,10 +4,14 @@ After every aggregation round each responding advisor is rewarded or punished
 according to whether its verdict converged to the aggregate decision: agreeing
 advisors gain the winning belief (capped at 1), disagreeing advisors move to
 the absolute difference between their score and the losing belief. Exact
-belief ties update nobody. Scores live in [0, 1] and newcomers start at the
+belief ties change no score. Scores live in [0, 1] and newcomers start at the
 ledger's initial score without ever being written implicitly.
 
-The rule is applied in one place, :meth:`CredibilityLedger.batch_update`;
+The ledger gives each identity a dense slot the first time it meets it and
+keeps the scores in a float64 vector by slot, beside a mask of the slots that
+were written. A round resolves its advisors to slots once (:meth:`slots`) and
+then reads and settles them in one vector operation each. The rule is applied
+in one place, :meth:`CredibilityLedger.batch_update`;
 :meth:`CredibilityLedger.update` is its one-element case.
 """
 
@@ -16,7 +20,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import AgentId, Probability, Verdict
+import numpy as np
+
+from .core import _TRUSTWORTHY, AgentId, Probability, Verdict, grown, repeats
 from .dst import MassFunction
 
 
@@ -37,17 +43,41 @@ def _settled_score(score: float, said_trust: bool, trust: float, distrust: float
 
 
 class CredibilityLedger:
-    """Single-writer map from advisor identity to credibility score."""
+    """Single-writer map from advisor identity to credibility score.
+
+    A slot that was never written, or whose identity was dropped, holds the
+    initial score's bits, so reading a vector of slots needs no mask.
+    """
 
     def __init__(self, initial_score: float = 0.5) -> None:
         self.initial_score = Probability(initial_score)
-        self._scores: dict[AgentId, Probability] = {}
+        self._slot: dict[AgentId, int] = {}
+        self._ids: list[AgentId] = []
+        self._score = np.full(0, float(self.initial_score))
+        self._written = np.zeros(0, dtype=bool)
 
     def __contains__(self, agent: AgentId) -> bool:
-        return agent in self._scores
+        slot = self._slot.get(agent)
+        return slot is not None and bool(self._written[slot])
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return int(np.count_nonzero(self._written))
+
+    def slots(self, agents: Iterable[AgentId]) -> np.ndarray:
+        """Each agent's slot, in order, as an int64 array; an agent met for the
+        first time gets the next free slot. Nothing is written: a new slot
+        reads the initial score and stays out of :meth:`as_map`."""
+        slot, ids = self._slot, self._ids
+        found = []
+        for agent in agents:
+            index = slot.get(agent)
+            if index is None:
+                index = slot[agent] = len(ids)
+                ids.append(agent)
+            found.append(index)
+        self._score = grown(self._score, len(ids), float(self.initial_score))
+        self._written = grown(self._written, len(ids), False)
+        return np.array(found, dtype=np.int64)
 
     def get(self, agent: AgentId) -> Probability:
         """Current score, or the initial score for an unknown advisor.
@@ -55,78 +85,108 @@ class CredibilityLedger:
         Lookups never mutate the ledger, so asking about a newcomer leaves no
         trace.
         """
-        return self._scores.get(agent, self.initial_score)
+        slot = self._slot.get(agent)
+        return self.initial_score if slot is None else Probability(self._score[slot])
 
     def set(self, agent: AgentId, score: float) -> None:
-        self._scores[agent] = Probability(score)
+        value = float(Probability(score))
+        (slot,) = self.slots((agent,))
+        self._score[slot] = value
+        self._written[slot] = True
 
     def drop(self, agent: AgentId) -> None:
-        self._scores.pop(agent, None)
+        slot = self._slot.get(agent)
+        if slot is not None:
+            self._score[slot] = float(self.initial_score)
+            self._written[slot] = False
 
     def as_map(self) -> dict[AgentId, Probability]:
-        return dict(self._scores)
+        """Every written score, in slot order (the order the ledger first met
+        each identity)."""
+        written = np.flatnonzero(self._written)
+        ids = self._ids
+        return {
+            ids[slot]: Probability(score)
+            for slot, score in zip(written.tolist(), self._score[written].tolist())
+        }
 
     def update(self, advisor: AgentId, given: Verdict, beliefs: MassFunction) -> Probability:
         """Settle one advisor's verdict and return its new score: the
         one-element case of :meth:`batch_update`."""
         self.batch_update((advisor,), (given,), beliefs)
-        return self._scores[advisor]
+        return self.get(advisor)
 
-    def scores(self, agents: Iterable[AgentId]) -> list[Probability]:
-        """Each agent's :meth:`get`, in order, in one call."""
-        scores, initial = self._scores, self.initial_score
-        return [scores.get(agent, initial) for agent in agents]
+    def scores(self, agents: Iterable[AgentId] | np.ndarray) -> np.ndarray:
+        """Each agent's :meth:`get`, in order, as a float64 array: ``agents``
+        are identities, or their :meth:`slots` as an int array."""
+        if isinstance(agents, np.ndarray):
+            return self._score[agents]
+        return np.array([self.get(agent) for agent in agents], dtype=np.float64)
 
     def batch_update(
-        self, advisors: Sequence[AgentId], verdicts: Sequence[Verdict], beliefs: MassFunction
+        self,
+        advisors: Sequence[AgentId] | np.ndarray,
+        verdicts: Sequence[Verdict] | np.ndarray,
+        beliefs: MassFunction,
     ) -> None:
         """Settle each advisor's verdict against ``beliefs``, in order.
 
-        ``advisors`` and ``verdicts`` line up; when their lengths differ this
-        raises ``ValueError`` before any write. An advisor listed twice is
+        ``advisors`` are identities, or their :meth:`slots` as an int array;
+        ``verdicts`` are verdicts, or a bool array that is True where the
+        advisor said trustworthy. The two line up; when their lengths differ
+        this raises ``ValueError`` before any write. An advisor listed twice is
         settled twice, from the score its first settling left, and every listed
-        advisor's score is written even when it does not change. Advisors not
-        listed are untouched. Nothing else is checked here: a round's
+        advisor is written even when its score does not change: an exact tie
+        writes the listed advisors and changes no bit. Advisors not listed are
+        untouched. Nothing else is checked here: a round's
         :class:`~trustsim.engine.RecommendationRequest` already holds one
         subject and distinct advisors, none of them the subject or requester.
 
-        The new score depends only on the old score and the verdict, and once
-        credibility saturates a round's responders share two to four such
-        pairs, so each distinct pair is settled once. Scores that compare
-        equal (-0.0 and 0.0 included) settle to the same bits unless the
-        beliefs tie exactly; a tie leaves every score as it is, bits and all,
-        so it settles nothing.
+        The rule runs on the whole vector at once, with the IEEE operations of
+        :func:`_settled_score` (so with its bits): ``min(1, c + max)`` where the
+        advisor agrees with the verdict the beliefs lean to, ``|c - min|``
+        where it does not. A fancy-index write keeps one value per slot, so a
+        list that repeats a slot is settled in waves, one per repetition.
         """
         if len(advisors) != len(verdicts):
             raise ValueError(
                 f"{len(advisors)} advisors but {len(verdicts)} verdicts to settle"
             )
+        slots = advisors if isinstance(advisors, np.ndarray) else self.slots(advisors)
+        self._written[slots] = True
         trust, distrust = float(beliefs.trust), float(beliefs.distrust)
-        scores, initial = self._scores, self.initial_score
         if trust == distrust:
-            for advisor in advisors:
-                scores[advisor] = scores.get(advisor, initial)
             return
-        # the settled score of each distinct old score, per verdict
-        trusting: dict[float, Probability] = {}
-        distrusting: dict[float, Probability] = {}
-        trustworthy = Verdict.TRUSTWORTHY  # an enum member lookup costs ten local reads
-        for advisor, verdict in zip(advisors, verdicts):
-            score = scores.get(advisor, initial)
-            said_trust = verdict is trustworthy
-            settled = trusting if said_trust else distrusting
-            new = settled.get(score)
-            if new is None:
-                new = settled[score] = Probability(
-                    _settled_score(score, said_trust, trust, distrust)
-                )
-            scores[advisor] = new
+        if isinstance(verdicts, np.ndarray):
+            trusting = verdicts
+        else:
+            trusting = np.array([verdict is _TRUSTWORTHY for verdict in verdicts], dtype=bool)
+        agree = trusting if trust > distrust else ~trusting
+        wins, loses = max(trust, distrust), min(trust, distrust)
+        ranks = repeats(slots)
+        if ranks is None:
+            self._settle(slots, agree, wins, loses)
+            return
+        for wave in range(int(ranks.max()) + 1):
+            listed = ranks == wave
+            self._settle(slots[listed], agree[listed], wins, loses)
+
+    def _settle(self, slots: np.ndarray, agree: np.ndarray, wins: float, loses: float) -> None:
+        """The rule on distinct ``slots``: ``agree`` marks those that gain."""
+        scores = self._score[slots]
+        gained = scores + wins
+        np.minimum(gained, 1.0, out=gained)
+        np.subtract(scores, loses, out=scores)
+        np.abs(scores, out=scores)
+        np.copyto(scores, gained, where=agree)
+        self._score[slots] = scores
 
     def save(self, path: str | Path) -> None:
         """Write a flat two-column snapshot (agent id, score)."""
         lines = ["agent_id\tscore"]
-        for agent in sorted(self._scores):
-            lines.append(f"{agent.value}\t{self._scores[agent]!r}")
+        scores = self.as_map()
+        for agent in sorted(scores):
+            lines.append(f"{agent.value}\t{scores[agent]!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod

@@ -15,6 +15,10 @@ simulator, concludes from those answers directly, and may hand it a
 :data:`FusionMemo` so that a round repeating an earlier round's answers and
 weights reuses that round's fusion.
 
+Both steps work on a :class:`Roster`: the eligible advisors resolved once to
+their slots in the two ledgers, so that a round spends, weighs, settles and
+tallies all of them in one vector operation each.
+
 Advisors appear here only as opaque callables keyed by identity; whatever
 behavior hides behind a callable is invisible to this module.
 """
@@ -24,6 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .core import _TRUSTWORTHY, _UNTRUSTWORTHY, AgentId, Probability, Verdict
 from .credibility import CredibilityLedger
@@ -41,13 +47,11 @@ from .incentives import InquiryLedger
 #: An advisor's answer policy: a verdict, or None to abstain.
 Responder = Callable[[AgentId, Sequence[float]], "Verdict | None"]
 
-#: Fusions already made, for :func:`conclude_round`: a round's answers mapped
-#: to the weights they were fused with and what that fusion gave (beliefs,
-#: verdict, estimated trust), for the last round that fused those answers.
-FusionMemo = dict[
-    tuple[Verdict, ...],
-    tuple[tuple[Probability, ...], tuple[MassFunction, Verdict, Probability]],
-]
+#: Fusions already made, for :func:`conclude_round`: a round's answers (the
+#: bytes of its ``trusting`` vector) mapped to the bytes of the weights they
+#: were fused with and what that fusion gave (beliefs, verdict, estimated
+#: trust), for the last round that fused those answers.
+FusionMemo = dict[bytes, tuple[bytes, tuple[MassFunction, Verdict, Probability]]]
 
 
 class RoundFailure(RuntimeError):
@@ -77,9 +81,10 @@ class RoundOutcome:
 
     ``responders``, ``answers`` and ``weights`` line up, in polling order:
     each advisor that answered, its verdict, and the credibility its verdict
-    was weighted by (its score before the round). ``not_polled`` lists
-    advisors skipped because the requester's inquiry budget toward them was
-    exhausted; they are not abstainers, they were never asked.
+    was weighted by (its score before the round; a float64 array).
+    ``not_polled`` lists advisors skipped because the requester's inquiry
+    budget toward them was exhausted; they are not abstainers, they were
+    never asked.
     """
 
     beliefs: MassFunction
@@ -87,21 +92,61 @@ class RoundOutcome:
     estimated_trust: Probability
     responders: tuple[AgentId, ...]
     answers: tuple[Verdict, ...]
-    weights: tuple[Probability, ...]
+    weights: np.ndarray
     abstainers: tuple[AgentId, ...]
     not_polled: tuple[AgentId, ...]
+
+
+class Roster(NamedTuple):
+    """Whom ``requester`` may ask, resolved once to the ledgers' slots.
+
+    ``slots`` holds each eligible advisor's credibility slot, ``asks`` the
+    inquiry slot of each pair (requester, advisor) and ``serves`` that of
+    each pair (advisor, requester), all in the order of ``eligible``; the two
+    inquiry arrays are None without an inquiry ledger.
+    """
+
+    requester: AgentId
+    eligible: tuple[AgentId, ...]
+    slots: np.ndarray
+    asks: np.ndarray | None
+    serves: np.ndarray | None
+
+    @classmethod
+    def of(
+        cls,
+        requester: AgentId,
+        eligible: tuple[AgentId, ...],
+        credibility: CredibilityLedger,
+        inquiries: InquiryLedger | None = None,
+    ) -> "Roster":
+        """The roster of ``eligible``, each met for the first time given a
+        slot in the ledgers; nothing is written."""
+        if inquiries is None:
+            return cls(requester, eligible, credibility.slots(eligible), None, None)
+        return cls(
+            requester,
+            eligible,
+            credibility.slots(eligible),
+            inquiries.slots([(requester, advisor) for advisor in eligible]),
+            inquiries.slots([(advisor, requester) for advisor in eligible]),
+        )
 
 
 class Polls(NamedTuple):
     """What a round collected, in polling order: the advisors that answered
     and their verdicts (these two line up), the advisors that abstained, and
     those never asked because the requester's inquiry budget toward them was
-    exhausted."""
+    exhausted. ``positions`` holds each responder's index among the eligible
+    and ``trusting`` whether it answered trustworthy, both as arrays that line
+    up with ``responders``."""
 
     responders: tuple[AgentId, ...]
     answers: tuple[Verdict, ...]
     abstainers: tuple[AgentId, ...]
     not_polled: tuple[AgentId, ...]
+    positions: np.ndarray
+    trusting: np.ndarray
 
 
 def poll(
@@ -117,10 +162,11 @@ def poll(
     advisor is asked."""
     responders: list[AgentId] = []
     answers: list[Verdict] = []
+    positions: list[int] = []
     abstainers: list[AgentId] = []
     not_polled: list[AgentId] = []
-    for advisor, respond, asked in zip(
-        eligible, policies, itertools.repeat(True) if granted is None else granted
+    for position, (advisor, respond, asked) in enumerate(
+        zip(eligible, policies, itertools.repeat(True) if granted is None else granted)
     ):
         if not asked:
             not_polled.append(advisor)
@@ -131,7 +177,15 @@ def poll(
         else:
             responders.append(advisor)
             answers.append(answer)
-    return Polls(tuple(responders), tuple(answers), tuple(abstainers), tuple(not_polled))
+            positions.append(position)
+    return Polls(
+        tuple(responders),
+        tuple(answers),
+        tuple(abstainers),
+        tuple(not_polled),
+        np.array(positions, dtype=np.int64),
+        np.array([answer is _TRUSTWORTHY for answer in answers], dtype=bool),
+    )
 
 
 def run_round(
@@ -152,8 +206,9 @@ def run_round(
     with the conservative untrustworthy verdict. Credibility updates apply to
     responders only, using the aggregate the round just produced.
 
-    The requester's inquiries toward all eligible advisors are spent in one
-    ``InquiryLedger.spend`` call, each granted advisor is asked once
+    The eligible advisors are resolved to a :class:`Roster`, the requester's
+    inquiries toward all of them are spent in one
+    ``InquiryLedger.spend_slots`` call, each granted advisor is asked once
     (:func:`poll`), and :func:`conclude_round` does the rest. An unknown
     advisor fails the round before any ledger is written.
     """
@@ -166,15 +221,17 @@ def run_round(
         raise ValueError(
             f"eligible advisor {exc.args[0].value} is not in the population"
         ) from None
-    granted = inquiries.spend(request.requester, eligible) if inquiries is not None else None
+    roster = Roster.of(request.requester, eligible, credibility, inquiries)
+    granted = None if inquiries is None else inquiries.spend_slots(roster.asks).tolist()
     polls = poll(eligible, policies, request.subject, request.subject_features, granted)
     return conclude_round(
-        request, polls, credibility, inquiries, trace, iteration=iteration, item=item
+        request, roster, polls, credibility, inquiries, trace, iteration=iteration, item=item
     )
 
 
 def conclude_round(
     request: RecommendationRequest,
+    roster: Roster,
     polls: Polls,
     credibility: CredibilityLedger,
     inquiries: InquiryLedger | None = None,
@@ -186,38 +243,40 @@ def conclude_round(
 ) -> RoundOutcome:
     """Conclude a round from what was collected: weigh, fuse, decide, settle.
 
-    Each responder's verdict is weighted by its score before the round (read
-    in one ``CredibilityLedger.scores`` call) and the verdicts are fused
-    (:func:`_fuse`). The responders are then settled in one
-    ``CredibilityLedger.batch_update`` call and their answers tallied in one
-    ``InquiryLedger.tally`` call; no object is built per responder.
+    Each responder's verdict is weighted by its score before the round, read
+    from its slot in ``roster`` in one ``CredibilityLedger.scores`` call, and
+    the verdicts are fused (:func:`_fuse`). The responders are then settled
+    in one ``CredibilityLedger.batch_update`` call and their answers tallied
+    in one ``InquiryLedger.tally_slots`` call, each one vector operation.
 
     The fusion (beliefs, verdict and estimated trust) depends on nothing but
     the answers and the weights, in order. With ``memo`` (see
-    :data:`FusionMemo`), a round whose answers are in it with equal weights
-    reuses the stored fusion; any other round fuses and stores its own. Equal
-    weights give the same bits except that ``-0.0 == 0.0``, so a round with a
-    zero weight is never stored. A round that fails is not stored either.
-    Settling, tallying, the outcome and the trace line happen on every
-    round. Without ``memo`` every round fuses.
+    :data:`FusionMemo`), a round whose answers are in it with weights of
+    equal bytes reuses the stored fusion; any other round fuses and stores
+    its own. Bit-equal weights fuse to bit-equal beliefs, and the bytes tell
+    -0.0 from 0.0. A round that fails is not stored. Settling, tallying, the
+    outcome and the trace line happen on every round. Without ``memo`` every
+    round fuses.
 
     ``trace`` (if given) receives the round's record as one JSON line without
     the newline (see :func:`_trace_line`) before this call returns, with
     ``iteration`` and ``item`` among its fields when they are given.
     """
     responders, answers = polls.responders, polls.answers
-    weights = tuple(credibility.scores(responders))
+    slots = roster.slots[polls.positions]
+    weights = credibility.scores(slots)
     if responders:
-        fused = memo.get(answers) if memo is not None else None
-        if fused is not None and fused[0] == weights:
+        trusting = polls.trusting
+        fused = memo.get(trusting.tobytes()) if memo is not None else None
+        if fused is not None and fused[0] == weights.tobytes():
             beliefs, verdict, trust = fused[1]
         else:
-            beliefs, verdict, trust = fusion = _fuse(request, answers, weights)
-            if memo is not None and all(weights):
-                memo[answers] = (weights, fusion)
-        credibility.batch_update(responders, answers, beliefs)
+            beliefs, verdict, trust = fusion = _fuse(request, answers, weights.tolist())
+            if memo is not None:
+                memo[trusting.tobytes()] = (weights.tobytes(), fusion)
+        credibility.batch_update(slots, trusting, beliefs)
         if inquiries is not None:
-            inquiries.tally(responders, request.requester)
+            inquiries.tally_slots(roster.serves[polls.positions])
     else:
         beliefs = VACUOUS
         verdict = _UNTRUSTWORTHY
@@ -234,7 +293,7 @@ def conclude_round(
         polls.not_polled,
     )
     if trace is not None:
-        settled = credibility.scores(responders)
+        settled = credibility.scores(slots).tolist()
         trace(_trace_line(request, outcome, settled, iteration, item))
     return outcome
 
@@ -242,7 +301,7 @@ def conclude_round(
 def _fuse(
     request: RecommendationRequest,
     answers: Sequence[Verdict],
-    weights: Sequence[Probability],
+    weights: Sequence[float],
 ) -> tuple[MassFunction, Verdict, Probability]:
     """The beliefs fused from ``answers`` weighted by ``weights``, the verdict
     and the estimated trust; :class:`RoundFailure` on total conflict.
@@ -317,7 +376,7 @@ def _trace_line(
     entries = []
     after = []
     for agent, answer, weight, score in zip(
-        outcome.responders, outcome.answers, outcome.weights, settled
+        outcome.responders, outcome.answers, outcome.weights.tolist(), settled
     ):
         heads = id_texts.get(agent)
         if heads is None:

@@ -21,6 +21,7 @@ import math
 import os
 import random
 from dataclasses import asdict, dataclass
+from itertools import compress
 from pathlib import Path
 from types import NoneType
 from typing import Callable, get_args, get_type_hints
@@ -48,12 +49,13 @@ from .engine import (
     Polls,
     RecommendationRequest,
     Responder,
+    Roster,
     RoundOutcome,
     conclude_round,
     poll,
 )
 from .epinions import EpinionsData, ground_truth_trust, ingest_epinions
-from .incentives import InquiryLedger
+from .incentives import MAX_BUDGET, InquiryLedger
 
 ATTACK_KINDS = tuple(kind.value for kind in AttackKind)
 
@@ -133,6 +135,8 @@ class ScenarioConfig:
             raise ConfigError("noise", "must lie in [0, 0.5)")
         if self.initial_budget is not None and self.initial_budget < 0:
             raise ConfigError("initial_budget", "must be nonnegative")
+        if self.initial_budget is not None and self.initial_budget > MAX_BUDGET:
+            raise ConfigError("initial_budget", "must be at most 2**62")
 
     def effective_budget(self) -> int:
         if self.initial_budget is not None:
@@ -290,6 +294,7 @@ def _responder_for(
 
 def run_round(
     request: RecommendationRequest,
+    roster: Roster,
     polls: Polls,
     credibility: CredibilityLedger,
     inquiries: InquiryLedger,
@@ -301,7 +306,7 @@ def run_round(
 ) -> RoundOutcome:
     """One scenario round from the answers ``polls`` already holds.
 
-    The system spends its inquiries toward every eligible identity, as
+    The system spends its inquiries toward every identity of ``roster``, as
     :func:`~trustsim.engine.run_round` does, and concludes from the answers
     of the identities it could ask: where an inquiry was refused, that
     identity is dropped from ``polls`` and listed as not polled. ``memo``
@@ -309,23 +314,21 @@ def run_round(
     the outcome, the ledgers and the trace line are those of
     :func:`~trustsim.engine.run_round`.
     """
-    eligible = request.eligible
-    granted = inquiries.spend(request.requester, eligible)
-    if not all(granted):
-        refused = {advisor for advisor, asked in zip(eligible, granted) if not asked}
-        kept = [
-            (advisor, answer)
-            for advisor, answer in zip(polls.responders, polls.answers)
-            if advisor not in refused
-        ]
+    granted = inquiries.spend_slots(roster.asks)
+    if not granted.all():
+        eligible = roster.eligible
+        refused = {eligible[position] for position in np.flatnonzero(~granted).tolist()}
+        kept = granted[polls.positions]
         polls = Polls(
-            tuple(advisor for advisor, _ in kept),
-            tuple(answer for _, answer in kept),
+            tuple(compress(polls.responders, kept.tolist())),
+            tuple(compress(polls.answers, kept.tolist())),
             tuple(advisor for advisor in polls.abstainers if advisor not in refused),
             tuple(advisor for advisor in eligible if advisor in refused),
+            polls.positions[kept],
+            polls.trusting[kept],
         )
     return conclude_round(
-        request, polls, credibility, inquiries, trace,
+        request, roster, polls, credibility, inquiries, trace,
         iteration=iteration, item=item, memo=memo,
     )
 
@@ -420,10 +423,11 @@ def run_scenario(
         # Each identity's answer to each item is polled once per population: a
         # population lasts until an identity changes (a whitewash reset) or
         # the policies do (camouflage, every iteration). Its rounds share one
-        # fusion memo, which this call alone holds.
+        # roster and one fusion memo, which this call alone holds.
         if changed:
             memo: FusionMemo = {}
             eligible = tuple(agent.state.identity for agent in agents)
+            roster = Roster.of(system, eligible, credibility, inquiries)
             policies = [
                 _responder_for(agent, kind, config.switch_iteration, iteration)
                 for agent in agents
@@ -441,7 +445,7 @@ def run_scenario(
             zip(item_specs, requests, polls)
         ):
             outcome = run_round(
-                request, item_polls, credibility, inquiries, trace,
+                request, roster, item_polls, credibility, inquiries, trace,
                 iteration=iteration, item=item_index, memo=memo,
             )
             if outcome.responders:
@@ -459,10 +463,7 @@ def run_scenario(
             )
 
         # in agent order, so new trajectories start in issuance order (ascending id)
-        scores = {
-            agent.state.identity: float(credibility.get(agent.state.identity))
-            for agent in agents
-        }
+        scores = dict(zip(roster.eligible, credibility.scores(roster.slots).tolist()))
         for identity in scores:
             if identity not in trajectories:
                 trajectories[identity] = [math.nan] * (iteration - 1)

@@ -156,8 +156,7 @@ def test_settle_shares_one_result_between_equal_scores():
     ledger.set(AgentId(1), -0.0)
     ledger.set(AgentId(2), 0.0)
     ledger.batch_update([AgentId(1), AgentId(2)], [N, N], triple(0.75, 0.25))
-    assert ledger.get(AgentId(1)) is ledger.get(AgentId(2))
-    assert ledger.get(AgentId(1)).hex() == (0.25).hex()
+    assert ledger.get(AgentId(1)).hex() == ledger.get(AgentId(2)).hex() == (0.25).hex()
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -238,8 +238,9 @@ def test_spend_equals_a_sequence_of_consume_calls(initial, asked, asker, provide
     assert granted == expected
     # exhausted pairs are left unwritten
     for ledger in (batch, single):
-        assert_same_entries(vars(ledger)["_budget"], budget)
-        assert vars(ledger)["_answered"] == {}
+        budgets, answered = ledger.as_maps()
+        assert_same_entries(budgets, budget)
+        assert answered == {}
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,5 +262,5 @@ def test_tally_equals_a_sequence_of_record_answer_calls(asked, answerers, reques
         answered[key] = answered.get(key, 0) + 1
         assert single.record_answer(answerer, requester) == answered[key]
     for ledger in (batch, single):
-        assert_same_entries(vars(ledger)["_answered"], answered)
-    assert vars(batch) == vars(single)
+        assert_same_entries(ledger.as_maps()[1], answered)
+    assert batch.as_maps() == single.as_maps()

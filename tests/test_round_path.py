@@ -19,6 +19,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -392,12 +393,9 @@ def outcome_bits(outcome):
 
 
 def ledgers_bits(credibility, inquiries):
-    """Both ledgers' entries in insertion order, scores by their type and bits."""
-    return (
-        ledger_bits(credibility),
-        list(vars(inquiries)["_budget"].items()),
-        list(vars(inquiries)["_answered"].items()),
-    )
+    """Both ledgers' entries in slot order, scores by their type and bits."""
+    budgets, answered = inquiries.as_maps()
+    return ledger_bits(credibility), list(budgets.items()), list(answered.items())
 
 
 #: Per draw: the system's initial budget. 0 leaves every advisor unpolled;
@@ -445,7 +443,9 @@ def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
     scenario_round = simulate.run_round
     starved = []
 
-    def both_rounds(request, polls, credibility, inquiries, trace, *, iteration, item, memo):
+    def both_rounds(
+        request, roster, polls, credibility, inquiries, trace, *, iteration, item, memo
+    ):
         ledgers = copy.deepcopy((credibility, inquiries))
         library_lines, lines = [], []
         expected = engine.run_round(
@@ -453,7 +453,7 @@ def test_scenario_round_equals_the_library_round(monkeypatch, kind, draw):
             iteration=iteration, item=item,
         )
         outcome = scenario_round(
-            request, polls, credibility, inquiries, lines.append,
+            request, roster, polls, credibility, inquiries, lines.append,
             iteration=iteration, item=item, memo=memo,
         )
         assert outcome_bits(outcome) == outcome_bits(expected)
@@ -482,9 +482,9 @@ def expected_fusions(kind, records):
 
     A population lasts while the identities asked stay the same (a whitewash
     reset replaces one) and, under camouflage, for one iteration. Within one,
-    a round fuses unless its (verdicts, weights) equal those of the last round
-    with the same verdicts that was kept; a round with a zero weight fuses and
-    is not kept. A round nobody answers fuses nothing.
+    a round fuses unless its verdicts and the bits of its weights equal those
+    of the last round with the same verdicts; every round that fuses is kept.
+    A round nobody answers fuses nothing.
     """
     fusions, population, kept = 0, None, {}
     for record in records:
@@ -496,10 +496,8 @@ def expected_fusions(kind, records):
         if not ids:
             continue
         verdicts = tuple(entry["verdict"] for entry in record["responders"])
-        weights = tuple(entry["credibility"] for entry in record["responders"])
-        if 0.0 in weights:
-            fusions += 1
-        elif kept.get(verdicts) != weights:
+        weights = tuple(float(entry["credibility"]).hex() for entry in record["responders"])
+        if kept.get(verdicts) != weights:
             fusions += 1
             kept[verdicts] = weights
     return fusions
@@ -507,27 +505,32 @@ def expected_fusions(kind, records):
 
 def test_fusion_memo_keeps_the_sign_of_a_zero_weight():
     """One responder weighted -0.0 fuses to ``trust = -0.0``, and -0.0 == 0.0,
-    so a round with a zero weight is not kept; one without is, and the next
-    round with equal answers and weights reuses its fusion."""
+    so the memo tells weights apart by their bytes: a round weighted 0.0
+    after one weighted -0.0 fuses again and keeps its own sign; a round that
+    repeats the last answers and weight bytes reuses that fusion."""
     advisor = AgentId(1)
     request = RecommendationRequest(AgentId(100), AgentId(200), (0.5,), (advisor,))
-    polls = engine.Polls((advisor,), (T,), (), ())
+    polls = engine.poll((advisor,), (lambda subject, features: T,), request.subject, (0.5,))
     memo = {}
 
     def conclude(score, memo=None):
         ledger = CredibilityLedger()
         ledger.set(advisor, score)
-        return engine.conclude_round(request, polls, ledger, memo=memo)
+        roster = engine.Roster.of(request.requester, request.eligible, ledger)
+        return engine.conclude_round(request, roster, polls, ledger, memo=memo)
 
-    for score in (-0.0, 0.0, -0.0):
+    fusions = []
+    for score in (-0.0, 0.0, -0.0, 0.5):
         outcome = conclude(score, memo)
         assert outcome_bits(outcome) == outcome_bits(conclude(score))
         assert math.copysign(1.0, outcome.beliefs.trust) == math.copysign(1.0, score)
-    assert memo == {}
-    first = conclude(0.5, memo)
-    assert memo == {(T,): ((0.5,), (first.beliefs, first.verdict, first.estimated_trust))}
+        fusion = (outcome.beliefs, outcome.verdict, outcome.estimated_trust)
+        assert memo == {polls.trusting.tobytes(): (np.array([score]).tobytes(), fusion)}
+        # a fresh fusion each time: no earlier beliefs object is reused
+        assert all(fusion[0] is not earlier[0] for earlier in fusions)
+        fusions.append(fusion)
     again = conclude(0.5, memo)
-    assert again.beliefs is first.beliefs
+    assert again.beliefs is fusions[-1][0]
     assert outcome_bits(again) == outcome_bits(conclude(0.5))
 
 
@@ -570,7 +573,7 @@ def test_fusion_memo_fuses_what_the_trace_says(monkeypatch, kind, initial, budge
     records = [json.loads(line) for line in traces[0]]
     answered = sum(1 for record in records if record["responders"])
     assert fused[0] == expected_fusions(kind, records)
-    if kind == "camouflage" or initial == 0.0:
+    if kind == "camouflage":
         assert fused[0] == answered
     elif initial == 0.5 and budget is None:
         # these populations outlast an iteration and repeat rounds
