@@ -223,6 +223,27 @@ def test_mistyped_config_value_exits_2_and_names_it(tmp_path, capsys, key, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "budget, code", [(2**62, 0), (2**62 + 1, 2), (99999999999999999999999, 2)]
+)
+def test_initial_budget_past_int64_room_exits_2_and_names_it(tmp_path, capsys, via, budget, code):
+    # budgets are int64 vectors: an initial budget above 2**62 would overflow
+    out = tmp_path / "x"
+    if via == "flag":
+        argv = ["--seed", "1", "--initial-budget", str(budget)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "initial_budget": budget}))
+        argv = ["--config", str(config)]
+    assert run_cli("simulate", *argv, "--out", str(out), *FAST) == code
+    if code == 2:
+        assert capsys.readouterr().err == "error: initial_budget: must be at most 2**62\n"
+        assert not out.exists()
+    else:
+        assert "budget\t0\t" in (out / "inquiries.tsv").read_text()
+
+
 def _ratings_file(path):
     path.write_text("".join(f"u{u} i{i} {1 + (u + i) % 5}\n" for u in range(5) for i in range(3)))
     return str(path)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -281,3 +282,82 @@ def test_a_dissenting_sybil_minority_keeps_full_credibility(monkeypatch, seed):
             assert min(r["beliefs"]["trust"], r["beliefs"]["distrust"]) <= ABSORBED
             assert r["credibility_after"][str(attacker)] == 1.0
     assert result.attacker_credibility[-1] >= 0.99
+
+
+# ---------------------------------------------------------------------------
+# the slot-vector settle against the scalar rule, one advisor at a time
+# ---------------------------------------------------------------------------
+
+#: Scores where the vector rule could part from the scalar one: both zeros,
+#: the cap, 1.0, and the smallest normal and subnormal steps.
+EDGE_SCORES = [-0.0, 0.0, 1.0, 2.0**-54, 5e-324, 0.5, 1.0 - 1e-6]
+edge_or_free = st.one_of(
+    st.sampled_from(EDGE_SCORES), st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+)
+
+
+@st.composite
+def settle_beliefs(draw):
+    """Beliefs free, saturated (the losing side at most 2**-54) or tied."""
+    kind = draw(st.sampled_from(["free", "saturated", "tie"]))
+    if kind == "tie":
+        side = draw(st.sampled_from([0.0, 2.0**-54, 0.25, 0.5]))
+        return triple(side, side)
+    big = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    if kind == "saturated":
+        small = draw(st.sampled_from([0.0, 5e-324, 2.0**-60, 2.0**-54]))
+        big = max(big, 0.5)
+    else:
+        small = (1.0 - big) * draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    if small > 1.0 - big:
+        small = 0.0
+    trust, distrust = (big, small) if draw(st.booleans()) else (small, big)
+    return MassFunction(trust, distrust, max(0.0, 1.0 - trust - distrust))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    stored=st.dictionaries(st.integers(0, 11), edge_or_free, max_size=12),
+    listed=st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=40),
+    newcomers=st.lists(st.integers(16, 19), max_size=4),
+    beliefs=settle_beliefs(),
+    initial=st.sampled_from(EDGE_SCORES),
+)
+def test_vector_settle_equals_the_scalar_rule_in_turn(stored, listed, newcomers, beliefs, initial):
+    """Settling a slot list (repeats included) in one ``batch_update`` call
+    gives every score the bits the scalar rule gives applied in list order;
+    exactly the listed advisors are written, and advisors only resolved to
+    slots stay unwritten newcomers."""
+    ledger = CredibilityLedger(initial)
+    oracle = {}
+    for value, score in stored.items():
+        ledger.set(AgentId(value), score)
+        oracle[AgentId(value)] = score
+    ledger.slots([AgentId(value) for value in newcomers])
+    advisors = [AgentId(value) for value, _ in listed]
+    trusting = np.array([said for _, said in listed], dtype=bool)
+    slots = ledger.slots(advisors)
+    trust, distrust = float(beliefs.trust), float(beliefs.distrust)
+    for advisor, said in zip(advisors, trusting.tolist()):
+        oracle[advisor] = _settled_score(oracle.get(advisor, initial), said, trust, distrust)
+    ledger.batch_update(slots, trusting, beliefs)
+    got = {agent: score.hex() for agent, score in ledger.as_map().items()}
+    assert got == {agent: float(score).hex() for agent, score in oracle.items()}
+    for value in newcomers:
+        if AgentId(value) not in oracle:
+            assert AgentId(value) not in ledger
+            assert ledger.get(AgentId(value)).hex() == float(initial).hex()
+    assert len(ledger) == len(oracle)
+
+
+def test_exact_tie_writes_newcomers_and_keeps_every_bit():
+    ledger = CredibilityLedger(-0.0)
+    ledger.set(AgentId(1), 0.0)
+    ledger.set(AgentId(2), 5e-324)
+    agents = [AgentId(1), AgentId(2), AgentId(3), AgentId(1)]
+    ledger.batch_update(agents, [T, N, T, N], triple(2.0**-54, 2.0**-54))
+    assert {agent: score.hex() for agent, score in ledger.as_map().items()} == {
+        AgentId(1): (0.0).hex(),
+        AgentId(2): (5e-324).hex(),
+        AgentId(3): (-0.0).hex(),
+    }

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.core import AgentId
-from trustsim.incentives import BudgetExhausted, InquiryLedger
+from trustsim.incentives import MAX_BUDGET, BudgetExhausted, InquiryLedger
 
 X, S = AgentId(1), AgentId(2)
 
@@ -145,6 +145,19 @@ def test_validation():
         InquiryLedger(initial_budget=-1)
 
 
+def test_initial_budget_is_bounded_by_int64_room():
+    assert InquiryLedger(initial_budget=MAX_BUDGET).budget(X, S) == 2**62
+    for budget in (MAX_BUDGET + 1, 99999999999999999999999):
+        with pytest.raises(ValueError, match="at most 2\\*\\*62"):
+            InquiryLedger(initial_budget=budget)
+    # the largest budget still spends and pays out exactly
+    ledger = InquiryLedger(initial_budget=MAX_BUDGET)
+    assert ledger.consume(X, S) == 2**62 - 1
+    ledger.record_answer(X, S)
+    ledger.replenish({X: 1.0})
+    assert ledger.budget(X, S) == 2**62 - 1 + 1 + 1 + 1
+
+
 def test_pairs_are_found_by_equal_fresh_ids():
     ledger = InquiryLedger(initial_budget=4)
     ledger.consume(AgentId(1), AgentId(2))
@@ -264,3 +277,55 @@ def test_tally_equals_a_sequence_of_record_answer_calls(asked, answerers, reques
     for ledger in (batch, single):
         assert_same_entries(ledger.as_maps()[1], answered)
     assert batch.as_maps() == single.as_maps()
+
+
+# ---------------------------------------------------------------------------
+# the slot calls against the dict oracle, repeats and exhaustion included
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.integers(0, 4),
+    asked=st.lists(st.tuples(IDS, IDS), max_size=10),
+    listed=st.lists(st.tuples(IDS, IDS), max_size=30),
+    answering=st.lists(st.tuples(IDS, IDS), max_size=30),
+    credibility=st.dictionaries(IDS, st.sampled_from([-0.0, 0.0, 0.3, 0.5, 1.0])),
+    dropped=st.one_of(st.none(), IDS),
+)
+def test_slot_calls_equal_the_dict_oracle(
+    initial, asked, listed, answering, credibility, dropped
+):
+    """One ``spend_slots`` call over a pair list that repeats pairs, so that a
+    budget can run out partway through it, grants and writes what one
+    ``consume`` per listing would; ``tally_slots`` counts every listing; the
+    payout and a retirement then match plain dict arithmetic."""
+    ledger = ledgers_after(initial, asked)[0]
+    budget, answered = {}, {}
+    for pair in asked:
+        consume(budget, initial, *pair)
+    granted = ledger.spend_slots(ledger.slots(listed))
+    assert granted.tolist() == [consume(budget, initial, *pair) is not None for pair in listed]
+    ledger.tally_slots(ledger.slots(answering))
+    for pair in answering:
+        answered[pair] = answered.get(pair, 0) + 1
+    assert ledger.as_maps() == (budget, answered)
+    ledger.replenish(credibility)
+    for pair in {**budget, **answered}:
+        served = answered.get(pair, 0)
+        cred = Fraction(credibility.get(pair[0], 0.5))
+        budget[pair] = budget.get(pair, initial) + served + math.ceil(served * cred) + 1
+    assert ledger.as_maps() == (budget, {})
+    if dropped is not None:
+        ledger.drop_agent(dropped)
+        budget = {pair: left for pair, left in budget.items() if dropped not in pair}
+        assert ledger.as_maps() == (budget, {})
+        assert all(ledger.budget(dropped, other) == initial for other in map(AgentId, range(6)))
+
+
+def test_spend_runs_out_partway_through_a_repeated_pair():
+    ledger = InquiryLedger(initial_budget=2)
+    slots = ledger.slots([(X, S), (S, X), (X, S), (X, S), (S, X)])
+    assert ledger.spend_slots(slots).tolist() == [True, True, True, False, True]
+    assert ledger.as_maps() == ({(X, S): 0, (S, X): 0}, {})
+    assert ledger.spend_slots(slots).tolist() == [False] * 5
