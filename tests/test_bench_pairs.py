@@ -9,6 +9,7 @@ must report its own peak memory, not that of the script that started it.
 
 import importlib.util
 import itertools
+import json
 import random
 import statistics
 import subprocess
@@ -106,3 +107,42 @@ def test_a_launched_run_reports_its_own_peak_memory():
     assert direct >= 100
     assert launched < 50
     del held
+
+
+DECLARED = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+)["end_to_end"]
+
+
+def test_gate_marks_ratios_past_their_bound_either_way():
+    ratios = {
+        "scenario_s": 1.25,  # bound 0.24: worse
+        "setup_s": 0.74,  # bound 0.25: better
+        "round_ms_p50": 0.77,  # bound 0.24: inside
+        "round_ms_tail": 1.2,
+        "peak_rss_mb": 1.11,  # bound 0.10: worse
+        "repetitions": 2.0,  # not an end-to-end metric
+    }
+    assert bench_pairs.gate_marks(ratios, DECLARED) == {
+        "scenario_s": "past its 24% bound, worse",
+        "setup_s": "past its 25% bound, better",
+        "peak_rss_mb": "past its 10% bound, worse",
+    }
+
+
+def test_summary_prints_the_mark_beside_the_repetition_ratio():
+    def run(scale, reps):
+        values = dict.fromkeys(bench_pairs.COLUMNS, 1.0)
+        values.update(round_ms_p50=scale, repetitions=reps)
+        return values
+
+    parent = [run(1.0, 100), run(1.1, 100), run(0.9, 100)]
+    change = [run(0.3, 120), run(0.33, 120), run(0.27, 120)]
+    lines = bench_pairs.summary_lines(parent, change, DECLARED)
+    assert len(lines) == len(bench_pairs.COLUMNS)
+    (marked,) = [line for line in lines if "**" in line]
+    assert marked.startswith("  round_ms_p50: parent 1 ")
+    assert marked.endswith(
+        "ratio 0.300, change lower in 3 of 3  ** past its 24% bound, better; "
+        "repetitions ratio 1.200"
+    )

@@ -19,7 +19,11 @@ repetition (second slowest for the tail) replaced by an unbiased estimate of
 its expected maximum (expected second largest) over 2 repetitions, read from
 the same result file (``expected_max``). A summary per workload follows: each
 side's median and quartiles, the ratio of the medians and in how many pairs
-the change read lower.
+the change read lower. Where a median ratio of an end-to-end metric moved
+past that metric's ``bound`` in ``BENCHMARK.json``, in either direction, the
+line is marked ``past its N % bound`` (worse or better) and shows the ratio of
+the repetition counts beside it, since a run that fits more repetitions reads
+higher maxima and more memory.
 
 Each run is started through a small launcher process (``launched``), so that
 its ``peak_rss_mb`` is its own and not this script's.
@@ -137,6 +141,51 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def gate_marks(ratios: dict[str, float], declared: list[dict]) -> dict[str, str]:
+    """The end-to-end metrics of ``declared`` (``BENCHMARK.json``'s
+    ``end_to_end``) whose change/parent ratio in ``ratios`` moved past the
+    metric's ``bound``, in either direction, each with its mark."""
+    marks = {}
+    for metric in declared:
+        ratio = ratios.get(metric["name"])
+        if ratio is None or abs(ratio - 1.0) <= metric["bound"]:
+            continue
+        worse = (ratio > 1.0) == (metric["better"] == "lower")
+        marks[metric["name"]] = (
+            f"past its {metric['bound']:.0%} bound, {'worse' if worse else 'better'}"
+        )
+    return marks
+
+
+def summary_lines(
+    parent_runs: list[dict], change_runs: list[dict], declared: list[dict]
+) -> list[str]:
+    """Per column: each side's median and quartiles over the pairs, the ratio
+    of the medians and in how many pairs the change read lower; a metric that
+    moved past its bound is marked, beside the repetition-count ratio."""
+    medians = {
+        name: (
+            quartiles([run[name] for run in parent_runs]),
+            quartiles([run[name] for run in change_runs]),
+        )
+        for name in COLUMNS
+    }
+    ratios = {name: change[1] / parent[1] for name, (parent, change) in medians.items()}
+    marks = gate_marks(ratios, declared)
+    lines = []
+    for name, ((p1, p2, p3), (c1, c2, c3)) in medians.items():
+        lower = sum(c[name] < p[name] for p, c in zip(parent_runs, change_runs))
+        line = (
+            f"  {name}: parent {p2:.4g} (q1 {p1:.4g}, q3 {p3:.4g}), change {c2:.4g} "
+            f"(q1 {c1:.4g}, q3 {c3:.4g}), ratio {ratios[name]:.3f}, "
+            f"change lower in {lower} of {len(parent_runs)}"
+        )
+        if name in marks:
+            line += f"  ** {marks[name]}; repetitions ratio {ratios[REPETITIONS]:.3f}"
+        lines.append(line)
+    return lines
+
+
 def main() -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -168,15 +217,9 @@ def main() -> int:
 
     for workload in workloads:
         print(f"{workload}: {args.pairs} pairs, seed {args.seed}, {seconds:g} s a run")
-        for name in COLUMNS:
-            parent = [run[name] for run in runs[workload]["parent"]]
-            change = [run[name] for run in runs[workload]["change"]]
-            p1, p2, p3 = quartiles(parent)
-            c1, c2, c3 = quartiles(change)
-            lower = sum(c < p for p, c in zip(parent, change))
-            print(f"  {name}: parent {p2:.4g} (q1 {p1:.4g}, q3 {p3:.4g}), change {c2:.4g} "
-                  f"(q1 {c1:.4g}, q3 {c3:.4g}), ratio {c2 / p2:.3f}, "
-                  f"change lower in {lower} of {len(parent)}")
+        sides = runs[workload]
+        for line in summary_lines(sides["parent"], sides["change"], declared["end_to_end"]):
+            print(line)
     return 0
 
 
