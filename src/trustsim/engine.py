@@ -98,7 +98,7 @@ class RoundOutcome:
 
 
 class Roster(NamedTuple):
-    """Whom ``requester`` may ask, resolved once to the ledgers' slots.
+    """The advisors a requester may ask, resolved once to the ledgers' slots.
 
     ``slots`` holds each eligible advisor's credibility slot, ``asks`` the
     inquiry slot of each pair (requester, advisor) and ``serves`` that of
@@ -106,7 +106,6 @@ class Roster(NamedTuple):
     inquiry arrays are None without an inquiry ledger.
     """
 
-    requester: AgentId
     eligible: tuple[AgentId, ...]
     slots: np.ndarray
     asks: np.ndarray | None
@@ -123,9 +122,8 @@ class Roster(NamedTuple):
         """The roster of ``eligible``, each met for the first time given a
         slot in the ledgers; nothing is written."""
         if inquiries is None:
-            return cls(requester, eligible, credibility.slots(eligible), None, None)
+            return cls(eligible, credibility.slots(eligible), None, None)
         return cls(
-            requester,
             eligible,
             credibility.slots(eligible),
             inquiries.slots([(requester, advisor) for advisor in eligible]),

@@ -319,9 +319,10 @@ def run_round(
         eligible = roster.eligible
         refused = {eligible[position] for position in np.flatnonzero(~granted).tolist()}
         kept = granted[polls.positions]
+        keep = kept.tolist()
         polls = Polls(
-            tuple(compress(polls.responders, kept.tolist())),
-            tuple(compress(polls.answers, kept.tolist())),
+            tuple(compress(polls.responders, keep)),
+            tuple(compress(polls.answers, keep)),
             tuple(advisor for advisor in polls.abstainers if advisor not in refused),
             tuple(advisor for advisor in eligible if advisor in refused),
             polls.positions[kept],
