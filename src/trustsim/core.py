@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +88,19 @@ class IdentityIssuer:
 # slot vectors: the ledgers keep one entry per identity (or pair) in numpy
 # vectors, indexed by a dense slot
 # ---------------------------------------------------------------------------
+
+
+def assign_slots(keys: Iterable[Hashable], slot: dict, known: list) -> np.ndarray:
+    """Each key's slot in ``slot``, in order, as an int64 array; a key met for
+    the first time gets the next slot, ``len(known)``, and joins ``known``."""
+    found = []
+    for key in keys:
+        index = slot.get(key)
+        if index is None:
+            index = slot[key] = len(known)
+            known.append(key)
+        found.append(index)
+    return np.array(found, dtype=np.int64)
 
 
 def grown(vector: np.ndarray, size: int, fill: object) -> np.ndarray:

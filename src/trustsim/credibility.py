@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _TRUSTWORTHY, AgentId, Probability, Verdict, grown, repeats
+from .core import _TRUSTWORTHY, AgentId, Probability, Verdict, assign_slots, grown, repeats
 from .dst import MassFunction
 
 
@@ -67,17 +67,10 @@ class CredibilityLedger:
         """Each agent's slot, in order, as an int64 array; an agent met for the
         first time gets the next free slot. Nothing is written: a new slot
         reads the initial score and stays out of :meth:`as_map`."""
-        slot, ids = self._slot, self._ids
-        found = []
-        for agent in agents:
-            index = slot.get(agent)
-            if index is None:
-                index = slot[agent] = len(ids)
-                ids.append(agent)
-            found.append(index)
-        self._score = grown(self._score, len(ids), float(self.initial_score))
-        self._written = grown(self._written, len(ids), False)
-        return np.array(found, dtype=np.int64)
+        found = assign_slots(agents, self._slot, self._ids)
+        self._score = grown(self._score, len(self._ids), float(self.initial_score))
+        self._written = grown(self._written, len(self._ids), False)
+        return found
 
     def get(self, agent: AgentId) -> Probability:
         """Current score, or the initial score for an unknown advisor.

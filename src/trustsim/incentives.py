@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import AgentId, Probability, grown, repeats
+from .core import AgentId, Probability, assign_slots, grown, repeats
 
 Pair = tuple[AgentId, AgentId]
 
@@ -63,18 +63,12 @@ class InquiryLedger:
     def slots(self, pairs: Iterable[Pair]) -> np.ndarray:
         """Each pair's slot, in order, as an int64 array; a pair met for the
         first time gets the next free slot. Nothing is written."""
-        slot, known = self._slot, self._pairs
-        found = []
-        for pair in pairs:
-            index = slot.get(pair)
-            if index is None:
-                index = slot[pair] = len(known)
-                known.append(pair)
-            found.append(index)
-        self._budget = grown(self._budget, len(known), self.initial_budget)
-        self._written = grown(self._written, len(known), False)
-        self._answered = grown(self._answered, len(known), 0)
-        return np.array(found, dtype=np.int64)
+        found = assign_slots(pairs, self._slot, self._pairs)
+        count = len(self._pairs)
+        self._budget = grown(self._budget, count, self.initial_budget)
+        self._written = grown(self._written, count, False)
+        self._answered = grown(self._answered, count, 0)
+        return found
 
     def budget(self, asker: AgentId, provider: AgentId) -> int:
         slot = self._slot.get((asker, provider))
