@@ -31,7 +31,8 @@ class AdvisorDataset:
     it, held as the arrays the tree grower reads: row ``i`` of ``values``
     (float64, one column per schema name) is an interaction's feature vector
     and ``labels[i]`` (uint8) its outcome, 1 for trustworthy and 0 for
-    untrustworthy. Both are read-only copies, checked once here."""
+    untrustworthy. Both are read-only copies, checked once here; a NaN or
+    infinite feature value is rejected."""
 
     schema: tuple[str, ...]
     values: np.ndarray
@@ -43,6 +44,8 @@ class AdvisorDataset:
         labels = np.asarray(self.labels)
         if values.ndim != 2 or values.shape[1] != width:
             raise ValueError(f"values have shape {values.shape}, schema has {width} features")
+        if not np.isfinite(values).all():
+            raise ValueError("feature values must be finite")
         if labels.shape != (len(values),):
             raise ValueError(f"labels have shape {labels.shape}, values have {len(values)} rows")
         if ((labels != 0) & (labels != 1)).any():

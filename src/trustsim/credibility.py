@@ -12,7 +12,8 @@ keeps the scores in a float64 vector by slot, beside a mask of the slots that
 were written. A round resolves its advisors to slots once (:meth:`slots`) and
 then reads and settles them in one vector operation each. The rule is applied
 in one place, :meth:`CredibilityLedger.batch_update`;
-:meth:`CredibilityLedger.update` is its one-element case.
+:meth:`CredibilityLedger.update` is its one-element case, and
+:meth:`CredibilityLedger.write` writes back scores it settled before.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ class CredibilityLedger:
         if isinstance(agents, np.ndarray):
             return self._score[agents]
         return np.array([self.get(agent) for agent in agents], dtype=np.float64)
+
+    def write(self, slots: np.ndarray, scores: np.ndarray) -> None:
+        """Write ``scores`` into the distinct ``slots`` they line up with and
+        mark those slots written, in one vector write each. A round that
+        settles exactly as an earlier one did (equal weights, answers and
+        beliefs) writes back the scores :meth:`batch_update` left then."""
+        self._score[slots] = scores
+        self._written[slots] = True
 
     def batch_update(
         self,

@@ -13,7 +13,7 @@ fuses, decides, settles and writes the trace line). :func:`run_round` runs
 both; a caller that already knows what each advisor would answer, like the
 simulator, concludes from those answers directly, and may hand it a
 :data:`FusionMemo` so that a round repeating an earlier round's answers and
-weights reuses that round's fusion.
+weights reuses that round's fusion and replays its settle.
 
 Both steps work on a :class:`Roster`: the eligible advisors resolved once to
 their slots in the two ledgers, so that a round spends, weighs, settles and
@@ -49,9 +49,10 @@ Responder = Callable[[AgentId, Sequence[float]], "Verdict | None"]
 
 #: Fusions already made, for :func:`conclude_round`: a round's answers (the
 #: bytes of its ``trusting`` vector) mapped to the bytes of the weights they
-#: were fused with and what that fusion gave (beliefs, verdict, estimated
-#: trust), for the last round that fused those answers.
-FusionMemo = dict[bytes, tuple[bytes, tuple[MassFunction, Verdict, Probability]]]
+#: were fused with, what that fusion gave (beliefs, verdict, estimated trust)
+#: and the responders' settled scores (a float64 array, in responder order),
+#: for the last round that fused those answers.
+FusionMemo = dict[bytes, tuple[bytes, tuple[MassFunction, Verdict, Probability], np.ndarray]]
 
 
 class RoundFailure(RuntimeError):
@@ -75,8 +76,7 @@ class RecommendationRequest:
             raise ValueError("the requester cannot advise itself")
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """What one round produced, including who answered and who did not.
 
     ``responders``, ``answers`` and ``weights`` line up, in polling order:
@@ -103,7 +103,9 @@ class Roster(NamedTuple):
     ``slots`` holds each eligible advisor's credibility slot, ``asks`` the
     inquiry slot of each pair (requester, advisor) and ``serves`` that of
     each pair (advisor, requester), all in the order of ``eligible``; the two
-    inquiry arrays are None without an inquiry ledger.
+    inquiry arrays are None without an inquiry ledger. ``eligible`` lists
+    each advisor once, as a :class:`RecommendationRequest` does, so each
+    array holds distinct slots.
     """
 
     eligible: tuple[AgentId, ...]
@@ -206,7 +208,7 @@ def run_round(
 
     The eligible advisors are resolved to a :class:`Roster`, the requester's
     inquiries toward all of them are spent in one
-    ``InquiryLedger.spend_slots`` call, each granted advisor is asked once
+    ``InquiryLedger.spend_distinct`` call, each granted advisor is asked once
     (:func:`poll`), and :func:`conclude_round` does the rest. An unknown
     advisor fails the round before any ledger is written.
     """
@@ -220,7 +222,7 @@ def run_round(
             f"eligible advisor {exc.args[0].value} is not in the population"
         ) from None
     roster = Roster.of(request.requester, eligible, credibility, inquiries)
-    granted = None if inquiries is None else inquiries.spend_slots(roster.asks).tolist()
+    granted = None if inquiries is None else inquiries.spend_distinct(roster.asks).tolist()
     polls = poll(eligible, policies, request.subject, request.subject_features, granted)
     return conclude_round(
         request, roster, polls, credibility, inquiries, trace, iteration=iteration, item=item
@@ -248,13 +250,17 @@ def conclude_round(
     in one ``InquiryLedger.tally_slots`` call, each one vector operation.
 
     The fusion (beliefs, verdict and estimated trust) depends on nothing but
-    the answers and the weights, in order. With ``memo`` (see
-    :data:`FusionMemo`), a round whose answers are in it with weights of
-    equal bytes reuses the stored fusion; any other round fuses and stores
-    its own. Bit-equal weights fuse to bit-equal beliefs, and the bytes tell
-    -0.0 from 0.0. A round that fails is not stored. Settling, tallying, the
+    the answers and the weights, in order, and each settled score on nothing
+    but the responder's weight, its answer and the beliefs. With ``memo``
+    (see :data:`FusionMemo`), a round whose answers are in it with weights of
+    equal bytes reuses the stored fusion and replays the stored settled
+    scores: it writes them into its own responders' slots in one
+    ``CredibilityLedger.write`` call, in place of ``batch_update``. Any other
+    round fuses, settles and stores its own. Bit-equal weights fuse and
+    settle to bit-equal results whoever the responders are, and the bytes
+    tell -0.0 from 0.0. A round that fails is not stored. Tallying, the
     outcome and the trace line happen on every round. Without ``memo`` every
-    round fuses.
+    round fuses and settles.
 
     ``trace`` (if given) receives the round's record as one JSON line without
     the newline (see :func:`_trace_line`) before this call returns, with
@@ -263,16 +269,20 @@ def conclude_round(
     responders, answers = polls.responders, polls.answers
     slots = roster.slots[polls.positions]
     weights = credibility.scores(slots)
+    settled = None
     if responders:
         trusting = polls.trusting
-        fused = memo.get(trusting.tobytes()) if memo is not None else None
-        if fused is not None and fused[0] == weights.tobytes():
-            beliefs, verdict, trust = fused[1]
+        key = trusting.tobytes()
+        kept = memo.get(key) if memo is not None else None
+        if kept is not None and kept[0] == weights.tobytes():
+            (beliefs, verdict, trust), settled = kept[1], kept[2]
+            credibility.write(slots, settled)
         else:
             beliefs, verdict, trust = fusion = _fuse(request, answers, weights.tolist())
+            credibility.batch_update(slots, trusting, beliefs)
             if memo is not None:
-                memo[trusting.tobytes()] = (weights.tobytes(), fusion)
-        credibility.batch_update(slots, trusting, beliefs)
+                settled = credibility.scores(slots)
+                memo[key] = (weights.tobytes(), fusion, settled)
         if inquiries is not None:
             inquiries.tally_slots(roster.serves[polls.positions])
     else:
@@ -291,8 +301,9 @@ def conclude_round(
         polls.not_polled,
     )
     if trace is not None:
-        settled = credibility.scores(slots).tolist()
-        trace(_trace_line(request, outcome, settled, iteration, item))
+        if settled is None:
+            settled = credibility.scores(slots)
+        trace(_trace_line(request, outcome, settled.tolist(), iteration, item))
     return outcome
 
 

@@ -109,11 +109,21 @@ class InquiryLedger:
         unwritten. A slot listed twice is spent twice, so where its budget
         runs out partway through the list, its later listings are refused.
         """
-        before = self._budget[slots]
         ranks = repeats(slots)
-        granted = before > (0 if ranks is None else ranks)
+        if ranks is None:
+            return self.spend_distinct(slots)
+        granted = self._budget[slots] > ranks
         paid = slots[granted]
         np.subtract.at(self._budget, paid, 1)
+        self._written[paid] = True
+        return granted
+
+    def spend_distinct(self, slots: np.ndarray) -> np.ndarray:
+        """:meth:`spend_slots` on slots that are distinct, such as a roster's,
+        without looking for repeats."""
+        granted = self._budget[slots] > 0
+        paid = slots[granted]
+        self._budget[paid] -= 1
         self._written[paid] = True
         return granted
 

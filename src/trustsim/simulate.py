@@ -314,7 +314,7 @@ def run_round(
     the outcome, the ledgers and the trace line are those of
     :func:`~trustsim.engine.run_round`.
     """
-    granted = inquiries.spend_slots(roster.asks)
+    granted = inquiries.spend_distinct(roster.asks)
     if not granted.all():
         eligible = roster.eligible
         refused = {eligible[position] for position in np.flatnonzero(~granted).tolist()}

@@ -275,7 +275,9 @@ def fit_many(values, labels, row_sets, max_depth: int = 8, min_leaf: int = 2) ->
     Each row set is a sequence of row indices (repeats allowed; sets may
     share rows). Tree ``i`` is the tree ``fit`` grows on
     ``values[row_sets[i]], labels[row_sets[i]]``, node for node. An empty row
-    set raises ``EmptyDataset``, an index outside the matrix ``ValueError``.
+    set raises ``EmptyDataset``, an index outside the matrix ``ValueError``,
+    and so does a NaN or infinite feature value: the grower and
+    :func:`predict` would route it to opposite sides of a split.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be positive")
@@ -285,6 +287,8 @@ def fit_many(values, labels, row_sets, max_depth: int = 8, min_leaf: int = 2) ->
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
     if values.ndim != 2:
         raise ValueError("feature matrix must be two-dimensional")
+    if not np.isfinite(values).all():
+        raise ValueError("feature values must be finite")
     if labels.ndim != 1 or labels.shape[0] != values.shape[0]:
         raise ValueError("labels must align with feature rows")
     sets = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,20 @@ def test_dataset_rejects_ragged_records():
         AdvisorDataset(("a", "b"), [1.0, 2.0], [1, 0])
     with pytest.raises(ValueError):
         AdvisorDataset(("a", "b"), [[1.0, 2.0], [1.0]], [1, 0])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dataset_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        AdvisorDataset(("a",), [[value], [1.0], [2.0], [value]], [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_dataset_rejects_non_finite_values(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,label\n{text},N\n1.0,T\n2.0,T\n")
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        load_dataset(path)
 
 
 @pytest.mark.parametrize("labels", [[1], [1, 0, 1], [[1, 0]]])

@@ -28,6 +28,7 @@ from trustsim import engine, simulate
 from trustsim.core import AgentId, Probability, Verdict
 from trustsim.credibility import CredibilityLedger, _settled_score
 from trustsim.engine import RecommendationRequest, RoundFailure, run_round
+from trustsim.incentives import InquiryLedger
 from trustsim.dst import (
     CREDIBILITY_CAP,
     MIN_NORMALISER,
@@ -507,7 +508,8 @@ def test_fusion_memo_keeps_the_sign_of_a_zero_weight():
     """One responder weighted -0.0 fuses to ``trust = -0.0``, and -0.0 == 0.0,
     so the memo tells weights apart by their bytes: a round weighted 0.0
     after one weighted -0.0 fuses again and keeps its own sign; a round that
-    repeats the last answers and weight bytes reuses that fusion."""
+    repeats the last answers and weight bytes reuses that fusion. Each entry
+    keeps the settled scores its round left."""
     advisor = AgentId(1)
     request = RecommendationRequest(AgentId(100), AgentId(200), (0.5,), (advisor,))
     polls = engine.poll((advisor,), (lambda subject, features: T,), request.subject, (0.5,))
@@ -517,21 +519,91 @@ def test_fusion_memo_keeps_the_sign_of_a_zero_weight():
         ledger = CredibilityLedger()
         ledger.set(advisor, score)
         roster = engine.Roster.of(request.requester, request.eligible, ledger)
-        return engine.conclude_round(request, roster, polls, ledger, memo=memo)
+        outcome = engine.conclude_round(request, roster, polls, ledger, memo=memo)
+        return outcome, ledger_bits(ledger)
 
     fusions = []
     for score in (-0.0, 0.0, -0.0, 0.5):
-        outcome = conclude(score, memo)
-        assert outcome_bits(outcome) == outcome_bits(conclude(score))
+        outcome, settled = conclude(score, memo)
+        fresh, fresh_settled = conclude(score)
+        assert (outcome_bits(outcome), settled) == (outcome_bits(fresh), fresh_settled)
         assert math.copysign(1.0, outcome.beliefs.trust) == math.copysign(1.0, score)
         fusion = (outcome.beliefs, outcome.verdict, outcome.estimated_trust)
-        assert memo == {polls.trusting.tobytes(): (np.array([score]).tobytes(), fusion)}
+        ((key, (weights, kept, scores)),) = memo.items()
+        assert (key, weights, kept) == (polls.trusting.tobytes(), np.array([score]).tobytes(), fusion)
+        assert [(advisor, Probability, scores.item().hex())] == settled
         # a fresh fusion each time: no earlier beliefs object is reused
         assert all(fusion[0] is not earlier[0] for earlier in fusions)
         fusions.append(fusion)
-    again = conclude(0.5, memo)
+    again, settled = conclude(0.5, memo)
     assert again.beliefs is fusions[-1][0]
-    assert outcome_bits(again) == outcome_bits(conclude(0.5))
+    fresh, fresh_settled = conclude(0.5)
+    assert (outcome_bits(again), settled) == (outcome_bits(fresh), fresh_settled)
+
+
+#: Per case: A's, B's and C's answers, the initial credibility, scores set
+#: before the first round and before the second, and whether the second round
+#: reuses the first one's fusion and settle.
+REPLAYS = {
+    "capped-agreement": ("TTT", 1.0, {}, {}, True),
+    "exact-tie": ("TNN", 0.5, {}, {}, True),
+    "negative-zero": ("TNN", -0.0, {"A": 1.0}, {}, True),
+    "zero-after-negative-zero": ("TNN", -0.0, {"A": 1.0}, {"C": 0.0}, False),
+    "moved-weights": ("TTT", 0.5, {}, {}, False),
+}
+
+
+@pytest.mark.parametrize("case", REPLAYS)
+def test_a_replayed_settle_equals_a_fresh_round(case):
+    """Two scenario rounds over advisors A, B and C with one fusion memo: the
+    first starves C, the second B, so the second round's responders are A
+    and C. Where their answers and weight bytes equal the first round's, the
+    second round replays the first one's settle into A's and C's slots, and
+    C, never written before, is written. Each round leaves the outcome, both
+    ledgers and the trace line bit-equal to a fresh ``engine.run_round``."""
+    letters, initial, before, between, hit = REPLAYS[case]
+    ids = {name: AgentId(number) for number, name in enumerate("ABC", 1)}
+    requester, subject = AgentId(0), AgentId(9)
+    eligible = tuple(ids.values())
+    population = {
+        advisor: (lambda subject, features, answer=T if letter == "T" else N: answer)
+        for advisor, letter in zip(eligible, letters)
+    }
+    request = RecommendationRequest(requester, subject, (0.5,), eligible)
+    credibility, inquiries = CredibilityLedger(initial), InquiryLedger(1)
+    roster = engine.Roster.of(requester, eligible, credibility, inquiries)
+    polls = engine.poll(eligible, list(population.values()), subject, (0.5,))
+    memo = {}
+
+    def both_rounds():
+        ledgers = copy.deepcopy((credibility, inquiries))
+        library_lines, lines = [], []
+        expected = engine.run_round(
+            request, population, *ledgers, library_lines.append, iteration=1, item=0
+        )
+        outcome = simulate.run_round(
+            request, roster, polls, credibility, inquiries, lines.append,
+            iteration=1, item=0, memo=memo,
+        )
+        assert outcome_bits(outcome) == outcome_bits(expected)
+        assert ledgers_bits(credibility, inquiries) == ledgers_bits(*ledgers)
+        assert lines == library_lines
+        return outcome
+
+    for name, score in before.items():
+        credibility.set(ids[name], score)
+    inquiries.spend(requester, [ids["C"]])
+    first = both_rounds()
+    assert first.responders == (ids["A"], ids["B"])
+    inquiries.replenish({})
+    inquiries.spend(requester, [ids["B"]])
+    for name, score in between.items():
+        credibility.set(ids[name], score)
+    assert ids["C"] not in credibility or between
+    second = both_rounds()
+    assert second.responders == (ids["A"], ids["C"])
+    assert (second.beliefs is first.beliefs) is hit
+    assert ids["C"] in credibility
 
 
 @pytest.mark.parametrize("budget", [None, 3])

@@ -11,6 +11,7 @@ from trustsim.tree import (
     accuracy,
     depth,
     fit,
+    fit_many,
     leaves,
     predict,
 )
@@ -169,6 +170,14 @@ def test_predict_rejects_schema_mismatch():
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
         fit(np.empty((0, 2)), np.empty(0, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fit_many_rejects_non_finite_values(value):
+    # the grower would send NaN left of a split and ``predict`` right of it
+    values = np.array([[value], [1.0], [2.0], [value]])
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        fit_many(values, [0, 1, 1, 0], [np.arange(4)], min_leaf=1)
 
 
 def test_hyperparameter_validation():

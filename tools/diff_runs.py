@@ -13,10 +13,12 @@ between records at the same position.
 With ``--ref`` it exports HEAD and ``GIT_REF`` with ``git archive`` into a
 temporary directory (nothing is registered in the repository), runs
 ``trustsim simulate`` from each export's ``src`` on the same fixed matrix
-(``MATRIX``: 100 advisors x 50 items under sybil, the benchmark's
-``ratings-cli`` inputs under whitewash, and starved sybil and whitewash at
-desk scale) and compares each pair of run directories. The ratings file is
-written once, by HEAD's ``perfbench/workloads.py`` generator.
+(``MATRIX``: 100 advisors x 50 items under sybil and under camouflage, the
+benchmark's ``deep-build`` shape with no attack, its ``ratings-cli`` inputs
+under whitewash, and starved sybil and whitewash at desk scale; so every
+attack kind and all three benchmark shapes) and compares each pair of run
+directories. The ratings file is written once, by HEAD's
+``perfbench/workloads.py`` generator.
 
 It exits 0 when nothing differs and 1 otherwise.
 """
@@ -44,6 +46,16 @@ MATRIX = {
     "sybil-100x50": [
         "--attack", "sybil", "--seed", "42", "--advisors", "100", "--items", "50",
         "--iterations", "10",
+    ],
+    # camouflage polls a new population every iteration, so no round
+    # reuses another's fusion
+    "camouflage-100x50": [
+        "--attack", "camouflage", "--seed", "42", "--advisors", "100", "--items", "50",
+        "--iterations", "10", "--switch-iteration", "4",
+    ],
+    "deep-build-none": [
+        "--attack", "none", "--seed", "42", "--advisors", "25", "--records-per-advisor", "400",
+        "--items", "10", "--iterations", "3",
     ],
     "ratings-cli-whitewash": [
         "--ratings", RATINGS_FILE, "--attack", "whitewash", "--reset-period", "3",
